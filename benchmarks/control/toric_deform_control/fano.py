@@ -1,0 +1,261 @@
+"""The centrally symmetric Fano 3-polytope over a polygon and the branch
+count bounds it yields on the K-moduli side.
+
+The polytope spanned by the polygon at height 1 and its negative at height
+-1 is Fano (origin interior, primitive vertices); when the polygon is
+centrally symmetric it is a prism.  The number D of maximal Minkowski
+decompositions of the polygon bounds the local branch counts from below:
+D^2 for the moduli stack and floor(D^2 / |Aut|) for the moduli space, with
+|Aut| = 4 on the prism family.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
+
+from .lattice import (
+    LatticePolygon,
+    build_hexagon_family,
+    enumerate_maximal_decompositions,
+    is_unit_edge,
+    symmetry_center_doubled,
+)
+from .hulls import NonUnitEdgeError
+
+Vec3 = tuple[int, int, int]
+
+
+def _cross3(a: Vec3, b: Vec3) -> Vec3:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot3(a: Vec3, b: Vec3) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _sub3(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _content3(v: Vec3) -> int:
+    return gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
+
+
+@dataclass(frozen=True)
+class Facet:
+    """Supporting inequality normal . p <= offset with primitive outward normal."""
+
+    normal: Vec3
+    offset: int
+
+
+@dataclass(frozen=True)
+class LatticePolytope3:
+    """Full-dimensional lattice polytope: extreme points plus facet inequalities."""
+
+    vertices: tuple[Vec3, ...]
+    facets: tuple[Facet, ...]
+
+    def to_json_dict(self) -> dict:
+        return {"vertices": [[x, y, z] for x, y, z in self.vertices],
+                "facets": [{"normal": list(f.normal), "offset": f.offset}
+                           for f in self.facets]}
+
+
+def convex_hull_3d(points: list[Vec3] | tuple[Vec3, ...]) -> LatticePolytope3:
+    """Exact 3D convex hull over the integers.
+
+    Supporting planes are found by checking, for every non-degenerate triple
+    of points, whether all points lie on one side; coplanar point sets merge
+    into a single facet automatically.  Quadratic-to-quartic in the number of
+    points, which is fine at the tens-of-vertices scale this package needs.
+    """
+    pts = sorted({(int(p[0]), int(p[1]), int(p[2])) for p in points})
+    if len(pts) < 4:
+        raise ValueError("need at least 4 distinct points for a 3-polytope")
+    if not _full_dimensional(pts):
+        raise ValueError("points are not full-dimensional")
+
+    planes: set[tuple[Vec3, int]] = set()
+    for i, j, k in combinations(range(len(pts)), 3):
+        n = _cross3(_sub3(pts[j], pts[i]), _sub3(pts[k], pts[i]))
+        if n == (0, 0, 0):
+            continue
+        c = _content3(n)
+        n = (n[0] // c, n[1] // c, n[2] // c)
+        offset = _dot3(n, pts[i])
+        if (n, offset) in planes or ((-n[0], -n[1], -n[2]), -offset) in planes:
+            continue
+        side = {(_dot3(n, p) > offset) - (_dot3(n, p) < offset) for p in pts}
+        if 1 not in side:
+            planes.add((n, offset))
+        elif -1 not in side:
+            planes.add(((-n[0], -n[1], -n[2]), -offset))
+
+    facets = tuple(Facet(n, c) for n, c in sorted(planes))
+    vertices = tuple(p for p in pts if _is_vertex(p, facets))
+    return LatticePolytope3(vertices, facets)
+
+
+def _full_dimensional(pts: list[Vec3]) -> bool:
+    base = pts[0]
+    spanning: list[Vec3] = []
+    for p in pts[1:]:
+        d = _sub3(p, base)
+        if len(spanning) == 0 and d != (0, 0, 0):
+            spanning.append(d)
+        elif len(spanning) == 1 and _cross3(spanning[0], d) != (0, 0, 0):
+            spanning.append(d)
+        elif len(spanning) == 2 and _dot3(_cross3(spanning[0], spanning[1]), d) != 0:
+            return True
+    return False
+
+
+def _is_vertex(p: Vec3, facets: tuple[Facet, ...]) -> bool:
+    normals = [f.normal for f in facets if _dot3(f.normal, p) == f.offset]
+    if len(normals) < 3:
+        return False
+    for a, b, c in combinations(normals, 3):
+        if _dot3(_cross3(a, b), c) != 0:
+            return True
+    return False
+
+
+def build_P_F(polygon: LatticePolygon) -> LatticePolytope3:
+    """Convex hull of the polygon at height 1 and its negative at height -1;
+    centrally symmetric by construction."""
+    pts = [(v[0], v[1], 1) for v in polygon.vertices]
+    pts += [(-v[0], -v[1], -1) for v in polygon.vertices]
+    return convex_hull_3d(pts)
+
+
+def is_fano(polytope: LatticePolytope3) -> bool:
+    """Origin strictly interior and every vertex a primitive lattice vector."""
+    if any(f.offset <= 0 for f in polytope.facets):
+        return False
+    return all(_content3(v) == 1 for v in polytope.vertices)
+
+
+def is_reflexive(polytope: LatticePolytope3) -> bool:
+    """The polar polytope has lattice vertices; with primitive normals this
+    means every facet offset is 1.  Reported, never required."""
+    return all(f.offset == 1 for f in polytope.facets)
+
+
+def is_prism_over(polytope: LatticePolytope3, polygon: LatticePolygon) -> bool:
+    """Is the polytope the region between the polygon at height 1 and its
+    parallel translate at height -1?
+
+    This needs the polygon to be centrally symmetric: the bottom copy is the
+    top one shifted by minus twice the symmetry center (no shift at all when
+    the polygon is symmetric about the origin, giving the literal product
+    with a length-2 segment).
+    """
+    s = symmetry_center_doubled(polygon)
+    if s is None:
+        return False
+    expected = {(v[0], v[1], 1) for v in polygon.vertices}
+    expected |= {(v[0] - s[0], v[1] - s[1], -1) for v in polygon.vertices}
+    return set(polytope.vertices) == expected
+
+
+def segre_minimal_prime_count(a: int, b: int) -> int:
+    """Minimal primes of a Segre product of standard graded algebras:
+    the product of the factors' counts."""
+    if a < 1 or b < 1:
+        raise ValueError("minimal prime counts are positive")
+    return a * b
+
+
+@dataclass(frozen=True)
+class BranchBounds:
+    """Lower bounds for local branch counts at the Fano 3-fold attached to a
+    polygon: D^2 on the moduli stack, floor(D^2/aut_divisor) (at least 1) on
+    the moduli space."""
+
+    decomposition_count: int
+    stack_lower: int
+    space_lower: int
+    aut_divisor: int
+
+    def to_json_dict(self) -> dict:
+        return {"decomposition_count": self.decomposition_count,
+                "stack_lower": self.stack_lower,
+                "space_lower": self.space_lower,
+                "aut_divisor": self.aut_divisor}
+
+
+def kmoduli_branch_bounds(polygon: LatticePolygon, aut_divisor: int = 4,
+                          cap: int | None = None) -> BranchBounds:
+    """Branch-count lower bounds from the decomposition count.
+
+    The default divisor 4 is the order of the polytope automorphism group
+    on the prism family; for other polygons the caller owns the choice.
+    """
+    if aut_divisor < 1:
+        raise ValueError("aut_divisor must be positive")
+    if not is_unit_edge(polygon):
+        raise NonUnitEdgeError("branch bounds need unit edges (isolated singularities)")
+    d = len(enumerate_maximal_decompositions(polygon, cap))
+    stack = segre_minimal_prime_count(d, d)
+    space = max(1, stack // aut_divisor)
+    return BranchBounds(d, stack, space, aut_divisor)
+
+
+@dataclass(frozen=True)
+class FamilyBranchReport:
+    """Verified data for one member of the iterated-hexagon family."""
+
+    r: int
+    polygon: LatticePolygon
+    vertex_count: int
+    unit_edges: bool
+    centrally_symmetric: bool
+    bounds: BranchBounds
+    fano: bool
+    prism: bool
+    reflexive: bool
+
+    def to_json_dict(self) -> dict:
+        return {"r": self.r,
+                "polygon": self.polygon.to_json_dict(),
+                "vertex_count": self.vertex_count,
+                "unit_edges": self.unit_edges,
+                "centrally_symmetric": self.centrally_symmetric,
+                "bounds": self.bounds.to_json_dict(),
+                "fano": self.fano,
+                "prism": self.prism,
+                "reflexive": self.reflexive}
+
+
+def family_branch_report(r: int, aut_divisor: int = 4,
+                         cap: int | None = None) -> FamilyBranchReport:
+    """Build the r-th family polygon, check every claimed property, and
+    return the verified report.  Raises if any check fails."""
+    polygon = build_hexagon_family(r)
+    vertex_count = len(polygon.vertices)
+    unit = is_unit_edge(polygon)
+    symmetric = symmetry_center_doubled(polygon) is not None
+    bounds = kmoduli_branch_bounds(polygon, aut_divisor, cap)
+    polytope = build_P_F(polygon)
+    fano = is_fano(polytope)
+    prism = is_prism_over(polytope, polygon)
+    checks = {
+        "vertex count 6r+6": vertex_count == 6 * r + 6,
+        "unit edges": unit,
+        "centrally symmetric": symmetric,
+        "decompositions >= 2^(r+1)": bounds.decomposition_count >= 2 ** (r + 1),
+        "stack bound >= 2^(2r+2)": bounds.stack_lower >= 2 ** (2 * r + 2),
+        "space bound >= 2^(2r)": bounds.space_lower >= 2 ** (2 * r),
+        "Fano polytope": fano,
+        "prism over the polygon": prism,
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise RuntimeError(f"family member r={r} fails: {', '.join(failed)}")
+    return FamilyBranchReport(r, polygon, vertex_count, unit, symmetric, bounds,
+                              fano, prism, is_reflexive(polytope))

@@ -1,0 +1,473 @@
+"""From a lattice polygon to the structure of its versal deformation base.
+
+The graded algebra attached to a polygon with m edges lives in m-1 variables
+(one edge is dropped; the edge vectors sum to zero, so the choice does not
+matter) and is cut out by the weighted power sums of the edge coordinates in
+degrees 1..m-2.  This module builds that presentation, verifies the algebra
+identities behind it, classifies the small embedding-dimension hulls, and
+assembles the full report: Hilbert values, irreducible components indexed by
+maximal Minkowski decompositions, and the artinian/rigidity side facts for
+cyclic quotient surfaces.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+
+from .groebner import (
+    buchberger,
+    contains_cube_of_maximal_ideal,
+    hilbert_function,
+    ideal_equal,
+    normal_form,
+)
+from .lattice import (
+    LatticePolygon,
+    MinkowskiDecomposition,
+    edge_vectors,
+    enumerate_maximal_decompositions,
+    is_unit_edge,
+)
+from .polynomials import Ideal, Polynomial, linear_substitute
+
+
+class NonUnitEdgeError(ValueError):
+    """The polygon has an edge of lattice length > 1, so the associated
+    toric 3-fold singularity is not isolated."""
+
+
+@dataclass(frozen=True)
+class AltmannPresentation:
+    """Generators of the homogeneous ideal attached to a polygon.
+
+    Variable names track edge indices (``x3`` belongs to the polygon's third
+    edge in canonical order), so presentations with different dropped edges
+    can be compared through explicit linear maps.
+    """
+
+    polygon: LatticePolygon
+    dropped_edge: int
+    k_max: int
+    variables: tuple[str, ...]
+    edge_indices: tuple[int, ...]
+    a_coeffs: tuple[int, ...]
+    b_coeffs: tuple[int, ...]
+    ideal: Ideal
+
+    def power_sum(self, which: str, k: int) -> Polynomial:
+        """The degree-k generator candidate: sum of a_i * x_i^k (or b_i)."""
+        coeffs = self.a_coeffs if which == "a" else self.b_coeffs
+        return _power_sum(self.variables, coeffs, k)
+
+
+def _power_sum(variables: tuple[str, ...], coeffs: tuple[int, ...], k: int) -> Polynomial:
+    terms = {}
+    n = len(variables)
+    for i, c in enumerate(coeffs):
+        if c:
+            e = [0] * n
+            e[i] = k
+            terms[tuple(e)] = Fraction(c)
+    return Polynomial(variables, terms)
+
+
+def build_altmann_ideal(polygon: LatticePolygon, dropped_edge: int | None = None,
+                        k_max: int | None = None) -> AltmannPresentation:
+    """Presentation of the polygon's graded algebra with one edge dropped.
+
+    Defaults: drop the last edge in canonical order, truncate the power sums
+    at degree m-2 (higher ones already lie in the ideal; see
+    ``verify_truncation``).
+    """
+    ev = edge_vectors(polygon)
+    m = len(ev.edges)
+    if dropped_edge is None:
+        dropped_edge = m - 1
+    if not 0 <= dropped_edge < m:
+        raise ValueError(f"dropped edge index {dropped_edge} out of range for {m} edges")
+    if k_max is None:
+        k_max = m - 2
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    kept = tuple(i for i in range(m) if i != dropped_edge)
+    variables = tuple(f"x{i + 1}" for i in kept)
+    a_coeffs = tuple(ev.edges[i][0] for i in kept)
+    b_coeffs = tuple(ev.edges[i][1] for i in kept)
+    if not any(a_coeffs[i] * b_coeffs[j] - a_coeffs[j] * b_coeffs[i]
+               for i in range(m - 1) for j in range(i + 1, m - 1)):
+        raise ValueError("edge coordinate matrix has rank < 2; input is not a polygon")
+    gens = []
+    for k in range(1, k_max + 1):
+        gens.append(_power_sum(variables, a_coeffs, k))
+        gens.append(_power_sum(variables, b_coeffs, k))
+    return AltmannPresentation(polygon, dropped_edge, k_max, variables, kept,
+                               a_coeffs, b_coeffs, Ideal(tuple(gens), variables))
+
+
+@dataclass(frozen=True)
+class ReducedPresentation:
+    """The presentation after solving the two degree-1 generators for two
+    pivot variables, leaving an ideal in m-3 variables."""
+
+    presentation: AltmannPresentation
+    pivot_variables: tuple[str, str]
+    substitution: dict[str, Polynomial]
+    variables: tuple[str, ...]
+    ideal: Ideal
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        return f.substitute(self.substitution, self.variables)
+
+
+def reduced_presentation(pres: AltmannPresentation,
+                         pivot_variables: tuple[str, str] | None = None) -> ReducedPresentation:
+    """Eliminate two variables using the linear generators.
+
+    By default the pivots are the first two columns supporting an invertible
+    2x2 minor of the coefficient rows, so the reduction is deterministic;
+    an explicit pivot pair may be requested instead.
+    """
+    a = [Fraction(c) for c in pres.a_coeffs]
+    b = [Fraction(c) for c in pres.b_coeffs]
+    n = len(a)
+    rows = [a[:], b[:]]
+    if pivot_variables is not None:
+        columns = [pres.variables.index(v) for v in pivot_variables]
+        if a[columns[0]] * b[columns[1]] - a[columns[1]] * b[columns[0]] == 0:
+            raise ValueError(f"columns {pivot_variables} are not an invertible minor")
+    else:
+        columns = range(n)
+    pivots: list[int] = []
+    r = 0
+    for col in columns:
+        src = next((k for k in range(r, 2) if rows[k][col]), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for k in range(2):
+            if k != r and rows[k][col]:
+                c = rows[k][col]
+                rows[k] = [v - c * w for v, w in zip(rows[k], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == 2:
+            break
+    assert len(pivots) == 2, "rank 2 was checked at construction"
+    keep = tuple(v for i, v in enumerate(pres.variables) if i not in pivots)
+    substitution: dict[str, Polynomial] = {}
+    for row, piv in zip(rows, pivots):
+        image = Polynomial.zero(keep)
+        for j, c in enumerate(row):
+            if j != piv and c:
+                image = image - c * Polynomial.variable(keep, pres.variables[j])
+        substitution[pres.variables[piv]] = image
+    gens = []
+    for g in pres.ideal.generators:
+        img = g.substitute(substitution, keep)
+        if not img.is_zero:
+            gens.append(img)
+    return ReducedPresentation(pres, (pres.variables[pivots[0]], pres.variables[pivots[1]]),
+                               substitution, keep, Ideal(tuple(gens), keep))
+
+
+# -- identity checks ----------------------------------------------------------
+
+
+def verify_newton_recurrence(variables: list[str], coeffs: list, k: int) -> bool:
+    """Check the weighted power-sum recurrence as an exact polynomial
+    identity: with s_r the signed elementary symmetric functions,
+    a_k + s_1 a_{k-1} + ... + s_n a_{k-n} vanishes for every k > n."""
+    n = len(variables)
+    if len(coeffs) != n:
+        raise ValueError("need one coefficient per variable")
+    if k <= n:
+        raise ValueError(f"recurrence needs k > n, got k={k}, n={n}")
+    ring = tuple(variables)
+    xs = [Polynomial.variable(ring, v) for v in ring]
+    weights = [Fraction(c) for c in coeffs]
+
+    def alpha(j: int) -> Polynomial:
+        out = Polynomial.zero(ring)
+        for w, x in zip(weights, xs):
+            out = out + w * x ** j
+        return out
+
+    # coefficients of prod (t - x_i): s[r] multiplies t^(n-r), s[0] = 1
+    s: list[Polynomial] = [Polynomial.constant(ring, 1)]
+    for x in xs:
+        nxt = [s[0]]
+        for r in range(1, len(s) + 1):
+            prev = s[r] if r < len(s) else Polynomial.zero(ring)
+            nxt.append(prev - x * s[r - 1])
+        s = nxt
+    acc = alpha(k)
+    for r in range(1, n + 1):
+        acc = acc + s[r] * alpha(k - r)
+    return acc.is_zero
+
+
+def verify_truncation(polygon: LatticePolygon, k_extra: int) -> bool:
+    """The power sums beyond degree m-2 already lie in the truncated ideal."""
+    pres = build_altmann_ideal(polygon)
+    red = reduced_presentation(pres)
+    gb = buchberger(red.ideal) if red.ideal.generators else None
+    m = polygon.edge_count
+    for k in range(m - 1, m - 2 + k_extra + 1):
+        for which in ("a", "b"):
+            f = red.reduce(pres.power_sum(which, k))
+            if gb is None:
+                if not f.is_zero:
+                    return False
+            elif not normal_form(f, gb).is_zero:
+                return False
+    return True
+
+
+def verify_drop_edge_invariance(polygon: LatticePolygon) -> bool:
+    """Dropping any edge yields the same ideal up to the explicit linear
+    change of variables x_i -> y_i - y_j, x_j -> -y_j."""
+    m = polygon.edge_count
+    if m > 7:
+        raise ValueError("drop invariance check is limited to m <= 7 for cost")
+    pres0 = build_altmann_ideal(polygon, dropped_edge=0)
+    for j in range(1, m):
+        pres_j = build_altmann_ideal(polygon, dropped_edge=j)
+        target = pres_j.variables
+        y0 = Polynomial.variable(target, "x1")
+        mapping: dict[str, Polynomial] = {}
+        for i in pres0.edge_indices:
+            name = f"x{i + 1}"
+            if i == j:
+                mapping[name] = -y0
+            else:
+                mapping[name] = Polynomial.variable(target, name) - y0
+        image = linear_substitute(pres0.ideal, mapping, target)
+        if not ideal_equal(image, pres_j.ideal):
+            return False
+    return True
+
+
+# -- classification -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ClassificationCase:
+    """One of the finitely many hull types in embedding dimension <= 2, or
+    the higher-dimensional catch-all."""
+
+    tag: str
+    embedding_dimension: int
+    local_ring: str
+
+    @property
+    def label(self) -> str:
+        if self.tag == "HigherEmbeddingDim":
+            return f"HigherEmbeddingDim({self.embedding_dimension})"
+        return self.tag
+
+    def to_json_dict(self) -> dict:
+        return {"tag": self.label,
+                "embedding_dimension": self.embedding_dimension,
+                "local_ring": self.local_ring}
+
+
+CASE_0 = ClassificationCase("Case0", 0, "C")
+CASE_1A = ClassificationCase("Case1a", 1, "C[x]/(x^2)")
+CASE_1B = ClassificationCase("Case1b", 1, "C[[x]]")
+CASE_2A = ClassificationCase("Case2a", 2, "C[x,y]/(x^2, y^2)")
+CASE_2B = ClassificationCase("Case2b", 2, "C[x,y]/(x^2, x*y, y^3)")
+CASE_2C = ClassificationCase("Case2c", 2, "C[[x,y]]/(x^2, x*y)")
+CASE_2D = ClassificationCase("Case2d", 2, "C[[x,y]]")
+
+
+def higher_embedding_case(d: int) -> ClassificationCase:
+    return ClassificationCase("HigherEmbeddingDim", d, "")
+
+
+def _pentagon_case(polygon: LatticePolygon) -> ClassificationCase:
+    red = reduced_presentation(build_altmann_ideal(polygon))
+    quadrics = [g for g in red.ideal.generators if g.total_degree() == 2]
+    f, g = quadrics[0], quadrics[1]
+    if contains_cube_of_maximal_ideal(f, g):
+        return CASE_2A
+    h3 = hilbert_function(red.ideal, 3)[3]
+    return CASE_2B if h3 == 0 else CASE_2C
+
+
+def classify(polygon: LatticePolygon) -> ClassificationCase:
+    """Hull type of the isolated Gorenstein toric 3-fold singularity
+    attached to a unit-edge polygon."""
+    if not is_unit_edge(polygon):
+        raise NonUnitEdgeError("classification needs unit edges (isolated singularity)")
+    m = polygon.edge_count
+    if m == 3:
+        return CASE_0
+    if m == 4:
+        e = edge_vectors(polygon).edges
+        parallelogram = e[0] == (-e[2][0], -e[2][1]) and e[1] == (-e[3][0], -e[3][1])
+        return CASE_1B if parallelogram else CASE_1A
+    if m == 5:
+        return _pentagon_case(polygon)
+    return higher_embedding_case(m - 3)
+
+
+# -- the full report ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HullComponent:
+    decomposition: MinkowskiDecomposition
+    dimension: int
+
+
+@dataclass(frozen=True)
+class HullReport:
+    """Everything the deformation base of a unit-edge polygon determines:
+    embedding dimension, Hilbert values, one component per maximal Minkowski
+    decomposition (of dimension = number of summands - 1), the artinian flag
+    and the small-embedding-dimension classification."""
+
+    polygon: LatticePolygon
+    embedding_dimension: int
+    hilbert: tuple[int, ...]
+    components: tuple[HullComponent, ...]
+    classification: ClassificationCase
+    artinian: bool
+    obstruction_check: bool | None
+    generators: tuple[str, ...]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "polygon": self.polygon.to_json_dict(),
+            "embedding_dimension": self.embedding_dimension,
+            "generators": list(self.generators),
+            "hilbert": list(self.hilbert),
+            "components": [
+                {"dimension": c.dimension, "summands": c.decomposition.to_json()}
+                for c in self.components
+            ],
+            "classification": self.classification.to_json_dict(),
+            "artinian": self.artinian,
+            "obstruction_check": self.obstruction_check,
+        }
+
+
+def hull_report(polygon: LatticePolygon, d_max: int | None = None,
+                cap: int | None = None, dropped_edge: int | None = None) -> HullReport:
+    """Assemble the deformation-space report for a unit-edge polygon.
+
+    ``d_max`` defaults to max(4, m-2), enough to separate every
+    classification case and exercise the degree-2 dimension formula.  The
+    dropped edge does not change any reported value (see
+    ``verify_drop_edge_invariance``), only the presentation used internally.
+    """
+    if not is_unit_edge(polygon):
+        raise NonUnitEdgeError("hull report needs unit edges (isolated singularity)")
+    m = polygon.edge_count
+    if d_max is None:
+        d_max = max(4, m - 2)
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
+    pres = build_altmann_ideal(polygon, dropped_edge=dropped_edge)
+    hilbert = tuple(hilbert_function(pres.ideal, d_max))
+    d = m - 3
+    if hilbert[1] != d:
+        raise RuntimeError(f"degree-1 dimension {hilbert[1]} != {d}; presentation is broken")
+    obstruction = None
+    if d >= 2 and d_max >= 2:
+        obstruction = hilbert[2] == (d * d + d - 4) // 2
+    decomps = enumerate_maximal_decompositions(polygon, cap)
+    components = tuple(HullComponent(dec, dec.dimension) for dec in decomps)
+    artinian = len(components) == 1 and components[0].dimension == 0
+    generators = tuple(str(g) for g in pres.ideal.generators)
+    return HullReport(polygon, d, hilbert, components, classify(polygon),
+                      artinian, obstruction, generators)
+
+
+# -- obstruction-dimension incompatibility -------------------------------------
+
+
+def verify_murphy_obstruction(d: int) -> int:
+    """Degree-2 dimension forced on every hull of embedding dimension d >= 2:
+    (d^2 + d - 4) / 2."""
+    if d < 2:
+        raise ValueError("formula applies for embedding dimension >= 2")
+    return (d * d + d - 4) // 2
+
+
+def murphy_mismatch_witness(d: int) -> tuple[int, int, bool]:
+    """Compare the forced degree-2 dimension with that of the cube-relation
+    power series quotient; the two never agree, so that quotient is not a
+    hull.  Returns (forced, cube_quotient, mismatch)."""
+    forced = verify_murphy_obstruction(d)
+    cube_quotient = (d * d + d) // 2 - 1
+    return forced, cube_quotient, forced != cube_quotient
+
+
+# -- cyclic quotient surfaces ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CyclicQuotient:
+    """The surface singularity of type (1/n)(1, q)."""
+
+    n: int
+    q: int
+
+    def __post_init__(self) -> None:
+        if not (1 <= self.q <= self.n - 1):
+            raise ValueError(f"need 1 <= q <= n-1, got n={self.n}, q={self.q}")
+        if gcd(self.n, self.q) != 1:
+            raise ValueError(f"n={self.n} and q={self.q} must be coprime")
+
+
+@dataclass(frozen=True)
+class HJExpansion:
+    """Continued fraction n/d = a2 - 1/(a3 - 1/(...)), all entries >= 2."""
+
+    entries: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.entries or any(a < 2 for a in self.entries):
+            raise ValueError("expansion entries must all be >= 2")
+
+    def evaluate(self) -> Fraction:
+        value = Fraction(self.entries[-1])
+        for a in reversed(self.entries[:-1]):
+            value = a - 1 / value
+        return value
+
+
+def hj_expansion(n: int, d: int) -> HJExpansion:
+    """Negative-regular continued fraction of n/d via ceiling divisions."""
+    if not (n > d >= 1):
+        raise ValueError(f"need n > d >= 1, got {n}/{d}")
+    if gcd(n, d) != 1:
+        raise ValueError(f"{n} and {d} must be coprime")
+    entries = []
+    while d > 0:
+        a = -(-n // d)
+        entries.append(a)
+        n, d = d, a * d - n
+    return HJExpansion(tuple(entries))
+
+
+def cyclic_quotient_t1(s: CyclicQuotient) -> int:
+    """Dimension of the first-order deformation space; the hull is smooth of
+    this dimension.  The q = n-1 series is the du Val A-chain, with one
+    deformation parameter per chain node."""
+    if s.q == s.n - 1:
+        return s.n - 1
+    return sum(hj_expansion(s.n, s.n - s.q).entries) - 2
+
+
+def rigidity_oracle(dim: int, gorenstein: bool) -> bool:
+    """Rigidity of isolated Q-Gorenstein toric singularities: everything in
+    dimension >= 4 is rigid, and so is the non-Gorenstein case in dimension 3."""
+    if dim < 2:
+        raise ValueError("dimension must be at least 2")
+    return dim >= 4 or (dim == 3 and not gorenstein)
