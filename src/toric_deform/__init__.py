@@ -2,8 +2,8 @@
 
 Public surface: exact polynomial algebra (Groebner bases over the
 rationals), lattice polygons with maximal Minkowski decompositions, hull
-reports and classification, the Fano polytope construction with branch
-bounds, and a CLI (``toric-deform``).
+reports and classification, the Fano polytope over a polygon (in closed
+form) with branch bounds, and a CLI (``toric-deform``).
 """
 
 __version__ = "0.1.0"
@@ -75,7 +75,6 @@ from .fano import (  # noqa: F401
     FamilyBranchReport,
     LatticePolytope3,
     build_P_F,
-    convex_hull_3d,
     family_branch_report,
     is_fano,
     is_prism_over,

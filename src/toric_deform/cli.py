@@ -23,13 +23,7 @@ from .hulls import (
     hull_report,
     verify_newton_recurrence,
 )
-from .lattice import (
-    DegeneratePolygonError,
-    EnumerationCapError,
-    LatticePolygon,
-    is_centrally_symmetric,
-    polygon_from_points,
-)
+from .lattice import EnumerationCapError, LatticePolygon, is_centrally_symmetric
 from .verification import run_checks
 
 _HULL_RING_BY_DIMENSION = {1: "C[[x]]", 2: "C[[x,y]]", 3: "C[[x,y,z]]"}
@@ -37,10 +31,7 @@ _HULL_RING_BY_DIMENSION = {1: "C[[x]]", 2: "C[[x,y]]", 3: "C[[x,y,z]]"}
 
 def _load_polygon(path: str) -> LatticePolygon:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise ValueError(f"{path}: expected a JSON object with a 'vertices' key")
-    return polygon_from_points([(int(x), int(y)) for x, y in data["vertices"]])
+        return LatticePolygon.from_json_dict(json.load(fh))
 
 
 def _envelope(command: str, input_echo, result) -> dict:
@@ -239,10 +230,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DegeneratePolygonError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (EnumerationCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,21 +3,23 @@ count bounds it yields on the K-moduli side.
 
 The polytope spanned by the polygon at height 1 and its negative at height
 -1 is Fano (origin interior, primitive vertices); when the polygon is
-centrally symmetric it is a prism.  The number D of maximal Minkowski
-decompositions of the polygon bounds the local branch counts from below:
-D^2 for the moduli stack and floor(D^2 / |Aut|) for the moduli space, with
-|Aut| = 4 on the prism family.
+centrally symmetric it is a prism.  It is an affine image of the Cayley
+polytope of the polygon and its negative, so its vertices and facets are
+written down in closed form, with no hull search.  The number D of maximal
+Minkowski decompositions of the polygon bounds the local branch counts from
+below: D^2 for the moduli stack and floor(D^2 / |Aut|) for the moduli space,
+with |Aut| = 4 on the prism family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .lattice import (
     LatticePolygon,
     build_hexagon_family,
+    edge_vectors,
     enumerate_maximal_decompositions,
     is_unit_edge,
     symmetry_center_doubled,
@@ -25,20 +27,6 @@ from .lattice import (
 from .hulls import NonUnitEdgeError
 
 Vec3 = tuple[int, int, int]
-
-
-def _cross3(a: Vec3, b: Vec3) -> Vec3:
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _dot3(a: Vec3, b: Vec3) -> int:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _sub3(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def _content3(v: Vec3) -> int:
@@ -66,71 +54,27 @@ class LatticePolytope3:
                            for f in self.facets]}
 
 
-def convex_hull_3d(points: list[Vec3] | tuple[Vec3, ...]) -> LatticePolytope3:
-    """Exact 3D convex hull over the integers.
-
-    Supporting planes are found by checking, for every non-degenerate triple
-    of points, whether all points lie on one side; coplanar point sets merge
-    into a single facet automatically.  Quadratic-to-quartic in the number of
-    points, which is fine at the tens-of-vertices scale this package needs.
-    """
-    pts = sorted({(int(p[0]), int(p[1]), int(p[2])) for p in points})
-    if len(pts) < 4:
-        raise ValueError("need at least 4 distinct points for a 3-polytope")
-    if not _full_dimensional(pts):
-        raise ValueError("points are not full-dimensional")
-
-    planes: set[tuple[Vec3, int]] = set()
-    for i, j, k in combinations(range(len(pts)), 3):
-        n = _cross3(_sub3(pts[j], pts[i]), _sub3(pts[k], pts[i]))
-        if n == (0, 0, 0):
-            continue
-        c = _content3(n)
-        n = (n[0] // c, n[1] // c, n[2] // c)
-        offset = _dot3(n, pts[i])
-        if (n, offset) in planes or ((-n[0], -n[1], -n[2]), -offset) in planes:
-            continue
-        side = {(_dot3(n, p) > offset) - (_dot3(n, p) < offset) for p in pts}
-        if 1 not in side:
-            planes.add((n, offset))
-        elif -1 not in side:
-            planes.add(((-n[0], -n[1], -n[2]), -offset))
-
-    facets = tuple(Facet(n, c) for n, c in sorted(planes))
-    vertices = tuple(p for p in pts if _is_vertex(p, facets))
-    return LatticePolytope3(vertices, facets)
-
-
-def _full_dimensional(pts: list[Vec3]) -> bool:
-    base = pts[0]
-    spanning: list[Vec3] = []
-    for p in pts[1:]:
-        d = _sub3(p, base)
-        if len(spanning) == 0 and d != (0, 0, 0):
-            spanning.append(d)
-        elif len(spanning) == 1 and _cross3(spanning[0], d) != (0, 0, 0):
-            spanning.append(d)
-        elif len(spanning) == 2 and _dot3(_cross3(spanning[0], spanning[1]), d) != 0:
-            return True
-    return False
-
-
-def _is_vertex(p: Vec3, facets: tuple[Facet, ...]) -> bool:
-    normals = [f.normal for f in facets if _dot3(f.normal, p) == f.offset]
-    if len(normals) < 3:
-        return False
-    for a, b, c in combinations(normals, 3):
-        if _dot3(_cross3(a, b), c) != 0:
-            return True
-    return False
-
-
 def build_P_F(polygon: LatticePolygon) -> LatticePolytope3:
     """Convex hull of the polygon at height 1 and its negative at height -1;
-    centrally symmetric by construction."""
-    pts = [(v[0], v[1], 1) for v in polygon.vertices]
-    pts += [(-v[0], -v[1], -1) for v in polygon.vertices]
-    return convex_hull_3d(pts)
+    centrally symmetric by construction.
+
+    Written down in closed form: the 2m lifted vertices, the top and bottom
+    facets, and one side facet per outer edge normal u of F + (-F), with
+    normal (2u, h_{-F}(u) - h_F(u)) and offset h_F(u) + h_{-F}(u), where h is
+    the support function.
+    """
+    vs = polygon.vertices
+    vertices = sorted([(x, y, 1) for x, y in vs] + [(-x, -y, -1) for x, y in vs])
+    planes = {((0, 0, 1), 1), ((0, 0, -1), 1)}
+    for ex, ey in edge_vectors(polygon).primitives:
+        for ux, uy in ((ey, -ex), (-ey, ex)):
+            h_top = max(ux * x + uy * y for x, y in vs)
+            h_bottom = max(-ux * x - uy * y for x, y in vs)
+            n = (2 * ux, 2 * uy, h_bottom - h_top)
+            c = _content3(n)
+            planes.add(((n[0] // c, n[1] // c, n[2] // c), (h_top + h_bottom) // c))
+    return LatticePolytope3(tuple(vertices),
+                            tuple(Facet(n, offset) for n, offset in sorted(planes)))
 
 
 def is_fano(polytope: LatticePolytope3) -> bool:

@@ -106,8 +106,15 @@ class LatticePolygon:
         return {"vertices": [[x, y] for x, y in self.vertices]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "LatticePolygon":
-        return polygon_from_points([(int(x), int(y)) for x, y in data["vertices"]])
+    def from_json_dict(cls, data: object) -> "LatticePolygon":
+        """Parse {"vertices": [[x, y], ...]} with JSON integer coordinates;
+        anything else raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
+            raise ValueError("expected a JSON object with a 'vertices' list")
+        for p in data["vertices"]:
+            if not (isinstance(p, list) and len(p) == 2 and all(type(c) is int for c in p)):
+                raise ValueError(f"vertex {p!r} is not an [x, y] pair of integers")
+        return polygon_from_points(data["vertices"])
 
 
 def polygon_from_points(points: Iterable[Sequence[int]]) -> LatticePolygon:

@@ -3,13 +3,17 @@
 Everything here is deliberately written against different algorithms than
 the package: Hilbert values by counting standard monomials under a Groebner
 basis, binary-quadric coprimality by exact root comparison over quadratic
-extensions, and decomposition counts by a bitmask partition DP.
+extensions, decomposition counts by a bitmask partition DP, and the Fano
+polytope by a general 3D hull that scans every triple of points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
+from toric_deform.fano import Facet, LatticePolytope3
 from toric_deform.groebner import buchberger, monomials_of_degree
 from toric_deform.lattice import LatticePolygon, edge_vectors
 from toric_deform.polynomials import GREVLEX, Ideal, Polynomial, exponent_divides
@@ -149,3 +153,83 @@ def univariate_product(variables: tuple[str, ...], roots: list[int]) -> Polynomi
     for r in roots:
         out = out * (x - r)
     return out
+
+
+Vec3 = tuple[int, int, int]
+
+
+def _cross3(a: Vec3, b: Vec3) -> Vec3:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot3(a: Vec3, b: Vec3) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _sub3(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _content3(v: Vec3) -> int:
+    return gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
+
+
+def convex_hull_3d(points: list[Vec3] | tuple[Vec3, ...]) -> LatticePolytope3:
+    """Exact 3D convex hull over the integers.
+
+    Supporting planes are found by checking, for every non-degenerate triple
+    of points, whether all points lie on one side; coplanar point sets merge
+    into a single facet automatically.  Quadratic-to-quartic in the number of
+    points, which is fine at the tens-of-vertices scale this package needs.
+    """
+    pts = sorted({(int(p[0]), int(p[1]), int(p[2])) for p in points})
+    if len(pts) < 4:
+        raise ValueError("need at least 4 distinct points for a 3-polytope")
+    if not _full_dimensional(pts):
+        raise ValueError("points are not full-dimensional")
+
+    planes: set[tuple[Vec3, int]] = set()
+    for i, j, k in combinations(range(len(pts)), 3):
+        n = _cross3(_sub3(pts[j], pts[i]), _sub3(pts[k], pts[i]))
+        if n == (0, 0, 0):
+            continue
+        c = _content3(n)
+        n = (n[0] // c, n[1] // c, n[2] // c)
+        offset = _dot3(n, pts[i])
+        if (n, offset) in planes or ((-n[0], -n[1], -n[2]), -offset) in planes:
+            continue
+        side = {(_dot3(n, p) > offset) - (_dot3(n, p) < offset) for p in pts}
+        if 1 not in side:
+            planes.add((n, offset))
+        elif -1 not in side:
+            planes.add(((-n[0], -n[1], -n[2]), -offset))
+
+    facets = tuple(Facet(n, c) for n, c in sorted(planes))
+    vertices = tuple(p for p in pts if _is_vertex(p, facets))
+    return LatticePolytope3(vertices, facets)
+
+
+def _full_dimensional(pts: list[Vec3]) -> bool:
+    base = pts[0]
+    spanning: list[Vec3] = []
+    for p in pts[1:]:
+        d = _sub3(p, base)
+        if len(spanning) == 0 and d != (0, 0, 0):
+            spanning.append(d)
+        elif len(spanning) == 1 and _cross3(spanning[0], d) != (0, 0, 0):
+            spanning.append(d)
+        elif len(spanning) == 2 and _dot3(_cross3(spanning[0], spanning[1]), d) != 0:
+            return True
+    return False
+
+
+def _is_vertex(p: Vec3, facets: tuple[Facet, ...]) -> bool:
+    normals = [f.normal for f in facets if _dot3(f.normal, p) == f.offset]
+    if len(normals) < 3:
+        return False
+    for a, b, c in combinations(normals, 3):
+        if _dot3(_cross3(a, b), c) != 0:
+            return True
+    return False

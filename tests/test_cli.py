@@ -128,6 +128,25 @@ def test_invalid_polygon_is_domain_error(tmp_path, capsys):
     assert run(["analyze", str(path)]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"vertices": [[0.5, 0], [1, 0], [0, 1]]}',
+    '{"vertices": [[true, 0], [1, 0], [0, 1]]}',
+    '{"vertices": [["1", 0], [1, 0], [0, 1]]}',
+    '{"vertices": 5}',
+    '{"vertices": [null, [1, 0], [0, 1]]}',
+    '{"vertices": [[0, 0, 0], [1, 0], [0, 1]]}',
+    '[[0, 0], [1, 0], [0, 1]]',
+])
+def test_malformed_polygon_is_domain_error(tmp_path, capsys, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    assert run(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cap_error_reports_count(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("TORIC_DEFORM_CAP", "4")
     path = tmp_path / "hexagon.json"

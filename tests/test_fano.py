@@ -1,26 +1,34 @@
 """The height-(+1/-1) polytope, its Fano/prism checks, and branch bounds."""
 
+import random
+
 import pytest
 
+from oracles import _dot3, convex_hull_3d
 from toric_deform.fano import (
     BranchBounds,
     build_P_F,
-    convex_hull_3d,
     family_branch_report,
     is_fano,
     is_prism_over,
     is_reflexive,
     kmoduli_branch_bounds,
     segre_minimal_prime_count,
-    _dot3,
 )
 from toric_deform.gallery import (
+    GALLERY,
     HEXAGON_SYMMETRIC,
     PENTAGON_COPRIME_QUADRICS,
     QUADRILATERAL_DUAL_NUMBERS,
 )
 from toric_deform.hulls import NonUnitEdgeError
-from toric_deform.lattice import build_hexagon_family, is_centrally_symmetric, polygon_from_points
+from toric_deform.lattice import (
+    DegeneratePolygonError,
+    build_hexagon_family,
+    is_centrally_symmetric,
+    is_unit_edge,
+    polygon_from_points,
+)
 
 TRIANGLE = polygon_from_points([(0, 0), (1, 0), (0, 1)])
 
@@ -63,13 +71,37 @@ def test_symmetric_hexagon_polytope_is_prism():
 
 
 def test_family_polytopes():
-    for r in (1, 2):
+    for r in (1, 2, 8):
         poly = build_hexagon_family(r)
         p = build_P_F(poly)
         assert len(p.vertices) == 2 * (6 * r + 6)
         assert is_prism_over(p, poly)
         assert is_fano(p)
         _assert_valid_polytope(p)
+
+
+def _random_polygons(count, seed=0):
+    rng = random.Random(seed)
+    polygons = []
+    while len(polygons) < count:
+        points = {(rng.randint(-4, 4), rng.randint(-4, 4))
+                  for _ in range(rng.randint(3, 9))}
+        try:
+            polygons.append(polygon_from_points(points))
+        except DegeneratePolygonError:  # collinear or too few distinct points
+            continue
+    return polygons
+
+
+def test_closed_form_matches_hull_oracle(corpus):
+    randoms = _random_polygons(40)
+    assert any(not is_unit_edge(p) for p in randoms)
+    polygons = (list(GALLERY.values()) + corpus
+                + [build_hexagon_family(r) for r in range(4)] + randoms)
+    for poly in polygons:
+        lifted = [(x, y, 1) for x, y in poly.vertices]
+        lifted += [(-x, -y, -1) for x, y in poly.vertices]
+        assert build_P_F(poly) == convex_hull_3d(lifted), poly.vertices
 
 
 def test_corpus_polytopes_are_fano_and_symmetric(corpus):
