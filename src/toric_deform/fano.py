@@ -19,8 +19,8 @@ from math import gcd
 from .lattice import (
     LatticePolygon,
     build_hexagon_family,
+    decomposition_count,
     edge_vectors,
-    enumerate_maximal_decompositions,
     is_unit_edge,
     symmetry_center_doubled,
 )
@@ -144,7 +144,7 @@ def kmoduli_branch_bounds(polygon: LatticePolygon, aut_divisor: int = 4,
         raise ValueError("aut_divisor must be positive")
     if not is_unit_edge(polygon):
         raise NonUnitEdgeError("branch bounds need unit edges (isolated singularities)")
-    d = len(enumerate_maximal_decompositions(polygon, cap))
+    d = decomposition_count(polygon, cap)
     stack = segre_minimal_prime_count(d, d)
     space = max(1, stack // aut_divisor)
     return BranchBounds(d, stack, space, aut_divisor)

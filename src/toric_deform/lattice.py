@@ -112,14 +112,23 @@ class LatticePolygon:
         if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
             raise ValueError("expected a JSON object with a 'vertices' list")
         for p in data["vertices"]:
-            if not (isinstance(p, list) and len(p) == 2 and all(type(c) is int for c in p)):
-                raise ValueError(f"vertex {p!r} is not an [x, y] pair of integers")
+            if not (isinstance(p, list) and len(p) == 2):
+                raise ValueError(f"vertex {p!r} is not an [x, y] pair")
         return polygon_from_points(data["vertices"])
+
+
+def _lattice_point(p: Sequence[int]) -> Vec2:
+    """``(x, y)`` from a point whose coordinates are ``int`` (not ``bool``);
+    anything else raises ValueError rather than being rounded."""
+    x, y = p[0], p[1]
+    if type(x) is not int or type(y) is not int:
+        raise ValueError(f"point {p!r} does not have integer coordinates")
+    return (x, y)
 
 
 def polygon_from_points(points: Iterable[Sequence[int]]) -> LatticePolygon:
     """Convex hull with canonical vertex order; idempotent on canonical input."""
-    pts = sorted({(int(p[0]), int(p[1])) for p in points})
+    pts = sorted({_lattice_point(p) for p in points})
     if len(pts) < 3:
         raise DegeneratePolygonError("need at least 3 distinct points")
 
@@ -182,8 +191,8 @@ def is_centrally_symmetric(polygon: LatticePolygon) -> bool:
 def minkowski_sum(a: "LatticePolygon | Iterable[Sequence[int]]",
                   b: "LatticePolygon | Iterable[Sequence[int]]") -> LatticePolygon:
     """Minkowski sum of two polytopes (polygon, segment or point operands)."""
-    av = a.vertices if isinstance(a, LatticePolygon) else tuple((int(p[0]), int(p[1])) for p in a)
-    bv = b.vertices if isinstance(b, LatticePolygon) else tuple((int(p[0]), int(p[1])) for p in b)
+    av = a.vertices if isinstance(a, LatticePolygon) else tuple(_lattice_point(p) for p in a)
+    bv = b.vertices if isinstance(b, LatticePolygon) else tuple(_lattice_point(p) for p in b)
     return polygon_from_points([vec_add(p, q) for p in av for q in bv])
 
 
@@ -235,81 +244,126 @@ def _decomposition_cap(cap: int | None) -> int:
     return int(os.environ.get(CAP_ENV_VAR, DEFAULT_DECOMPOSITION_CAP))
 
 
-def _minimal_zero_parts(counts: tuple[int, ...], values: tuple[Vec2, ...],
-                        cache: dict) -> list[tuple[int, ...]]:
-    """All minimal zero-sum sub-multisets (as count vectors) that use at
-    least one copy of the first value still present in ``counts``."""
-    if counts in cache:
-        return cache[counts]
-    first = next(i for i, c in enumerate(counts) if c)
-    # largest coordinate sums still reachable from each suffix, for pruning
-    remaining_x = [0] * (len(values) + 1)
-    remaining_y = [0] * (len(values) + 1)
-    for i in range(len(values) - 1, -1, -1):
-        remaining_x[i] = remaining_x[i + 1] + counts[i] * abs(values[i][0])
-        remaining_y[i] = remaining_y[i + 1] + counts[i] * abs(values[i][1])
+class _PartTable:
+    """The minimal zero-sum parts of a copy multiset, found once per polygon.
 
-    found: list[tuple[int, ...]] = []
-    chosen = [0] * len(values)
+    A count vector over the distinct primitive values is packed into one
+    integer, ``width`` bits per value with the top bit of each field spare,
+    so ``p <= q`` componentwise exactly when ``(q | guard) - p`` keeps every
+    guard bit.  Minimality is a property of the part alone, not of the
+    multiset it is drawn from, so every search state reuses the same parts.
+    """
 
-    def rec(i: int, sx: int, sy: int) -> None:
-        if abs(sx) > remaining_x[i] or abs(sy) > remaining_y[i]:
-            return
-        if i == len(values):
-            if sx == 0 and sy == 0 and any(chosen):
-                found.append(tuple(chosen))
-            return
-        lo = 1 if i == first else 0
-        for c in range(lo, counts[i] + 1):
-            chosen[i] = c
-            rec(i + 1, sx + c * values[i][0], sy + c * values[i][1])
-        chosen[i] = 0
+    def __init__(self, values: tuple[Vec2, ...], counts: tuple[int, ...]):
+        self.values = values
+        self.width = w = max(counts).bit_length() + 1
+        self.guard = sum(1 << (i * w + w - 1) for i in range(len(values)))
+        self.full = sum(c << (i * w) for i, c in enumerate(counts))
+        self.by_first: list[list[int]] = [[] for _ in values]
+        for part in self._minimal_parts(counts):
+            self.by_first[self._first(part)].append(part)
 
-    rec(0, 0, 0)
-    minimal = [s for s in found
-               if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in found)]
-    cache[counts] = minimal
-    return minimal
+    def _first(self, state: int) -> int:
+        return ((state & -state).bit_length() - 1) // self.width
+
+    def _tabulate(self, counts: tuple[int, ...],
+                  indices: range) -> dict[int, dict[Vec2, list[int]]]:
+        """Every count-vector choice over ``indices``, by size, then by sum."""
+        choices = [(0, 0, 0, 0)]
+        for i in indices:
+            (vx, vy), shift = self.values[i], i * self.width
+            choices = [(size + c, x + c * vx, y + c * vy, packed + (c << shift))
+                       for size, x, y, packed in choices for c in range(counts[i] + 1)]
+        table: dict[int, dict[Vec2, list[int]]] = {}
+        for size, x, y, packed in choices:
+            table.setdefault(size, {}).setdefault((x, y), []).append(packed)
+        return table
+
+    def _minimal_parts(self, counts: tuple[int, ...]) -> list[int]:
+        """Meet in the middle: join the two halves' choices on opposite sums,
+        in increasing total size, and keep a zero-sum vector only if no part
+        kept so far fits inside it.  The minimal parts inside a vector are
+        smaller than it, so they are all kept before the vector is met."""
+        half = len(counts) // 2
+        low = self._tabulate(counts, range(half))
+        high = self._tabulate(counts, range(half, len(counts)))
+        guard = self.guard
+        kept: list[int] = []
+        for size in range(1, sum(counts) + 1):
+            for low_size, low_sums in low.items():
+                high_sums = high.get(size - low_size, {})
+                for (x, y), lows in low_sums.items():
+                    for high_part in high_sums.get((-x, -y), ()):
+                        for low_part in lows:
+                            room = low_part + high_part + guard
+                            if all((room - part) & guard != guard for part in kept):
+                                kept.append(room - guard)
+        return kept
+
+    def candidates(self, state: int) -> Iterator[int]:
+        """The parts inside ``state`` that use its first present value."""
+        room = state | self.guard
+        for part in self.by_first[self._first(state)]:
+            if (room - part) & self.guard == self.guard:
+                yield part
+
+    def vectors(self, part: int) -> tuple[Vec2, ...]:
+        mask = (1 << self.width) - 1
+        return tuple(v for i, v in enumerate(self.values)
+                     for _ in range((part >> (i * self.width)) & mask))
+
+
+def _part_table(polygon: LatticePolygon, cap: int | None) -> _PartTable:
+    """Cap check, then the parts table; a strictly convex polygon has one
+    edge per primitive direction, so the copy counts are the edge lengths."""
+    ev = edge_vectors(polygon)
+    limit = _decomposition_cap(cap)
+    if sum(ev.lengths) > limit:
+        raise EnumerationCapError(sum(ev.lengths), limit)
+    values, counts = zip(*sorted(zip(ev.primitives, ev.lengths)))
+    return _PartTable(values, counts)
 
 
 def enumerate_maximal_decompositions(polygon: LatticePolygon,
                                      cap: int | None = None) -> list[MinkowskiDecomposition]:
-    """Exhaustively enumerate the maximal Minkowski decompositions.
+    """Enumerate the maximal Minkowski decompositions.
 
-    Every edge is expanded into lattice-length many primitive copies and the
-    copy multiset is partitioned into minimal zero-sum parts by backtracking
-    on the first unassigned copy.  The result is canonically sorted.
+    Every edge is expanded into lattice-length many primitive copies.  The
+    minimal zero-sum parts of the copy multiset are found once, by a
+    meet-in-the-middle join on coordinate sums; the multiset is then
+    partitioned into them by backtracking on the first value still present.
+    The result is canonically sorted.
     """
-    ev = edge_vectors(polygon)
-    copies: list[Vec2] = []
-    for prim, length in zip(ev.primitives, ev.lengths):
-        copies.extend([prim] * length)
-    limit = _decomposition_cap(cap)
-    if len(copies) > limit:
-        raise EnumerationCapError(len(copies), limit)
+    table = _part_table(polygon, cap)
 
-    values = tuple(sorted(set(copies)))
-    counts = tuple(sum(1 for c in copies if c == v) for v in values)
-    cache: dict = {}
-
-    def partitions(state: tuple[int, ...]) -> Iterator[tuple[tuple[Vec2, ...], ...]]:
-        if not any(state):
+    def partitions(state: int) -> Iterator[tuple[tuple[Vec2, ...], ...]]:
+        if not state:
             yield ()
             return
-        for part in _minimal_zero_parts(state, values, cache):
-            rest = tuple(a - b for a, b in zip(state, part))
-            part_vectors = tuple(v for v, c in zip(values, part) for _ in range(c))
-            for tail in partitions(rest):
+        for part in table.candidates(state):
+            part_vectors = table.vectors(part)
+            for tail in partitions(state - part):
                 yield (part_vectors,) + tail
 
     results = [MinkowskiDecomposition(tuple(sorted(parts)))
-               for parts in partitions(counts)]
+               for parts in partitions(table.full)]
     results.sort(key=lambda d: (len(d.parts), d.parts))
     return results
 
 
 def decomposition_count(polygon: LatticePolygon, cap: int | None = None) -> int:
-    return len(enumerate_maximal_decompositions(polygon, cap))
+    """``len(enumerate_maximal_decompositions(polygon, cap))``, counted by a
+    dynamic program memoized on the remaining count vector; no decomposition
+    is built."""
+    table = _part_table(polygon, cap)
+    memo = {0: 1}
+
+    def count(state: int) -> int:
+        if state not in memo:
+            memo[state] = sum(count(state - part) for part in table.candidates(state))
+        return memo[state]
+
+    return count(table.full)
 
 
 # -- unimodular maps and the iterate family -----------------------------------

@@ -50,6 +50,7 @@ from .hulls import (
 from .lattice import (
     build_hexagon_family,
     check_iterate_disjointness,
+    decomposition_count,
     edge_vectors,
     enumerate_maximal_decompositions,
     is_unit_edge,
@@ -187,7 +188,7 @@ def _check_family_shapes() -> bool:
         poly = build_hexagon_family(r)
         if len(poly.vertices) != 6 * r + 6 or not is_unit_edge(poly):
             return False
-    return len(enumerate_maximal_decompositions(build_hexagon_family(2))) >= 8
+    return decomposition_count(build_hexagon_family(2)) >= 8
 
 
 def _check_triangle_presentation() -> bool:

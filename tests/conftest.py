@@ -1,13 +1,20 @@
-"""Shared fixtures: the deterministic unit-edge polygon corpus."""
+"""Shared fixtures: the deterministic unit-edge polygon corpus and a seeded
+set of random lattice polygons."""
 
 from __future__ import annotations
 
 import itertools
+import random
 from math import gcd
 
 import pytest
 
-from toric_deform.lattice import LatticePolygon, angle_key, polygon_from_points
+from toric_deform.lattice import (
+    DegeneratePolygonError,
+    LatticePolygon,
+    angle_key,
+    polygon_from_points,
+)
 
 # every primitive vector with coordinates in [-2, 2]
 VECTOR_POOL = sorted({(x, y) for x in range(-2, 3) for y in range(-2, 3)
@@ -44,3 +51,19 @@ def build_corpus(sizes: dict[int, int] = CORPUS_SIZES) -> list[LatticePolygon]:
 @pytest.fixture(scope="session")
 def corpus() -> list[LatticePolygon]:
     return build_corpus()
+
+
+@pytest.fixture(scope="session")
+def random_polygons() -> list[LatticePolygon]:
+    """40 hulls of 3..9 random points in [-4, 4]^2 (seed 0); many of them
+    have non-unit edges."""
+    rng = random.Random(0)
+    polygons: list[LatticePolygon] = []
+    while len(polygons) < 40:
+        points = {(rng.randint(-4, 4), rng.randint(-4, 4))
+                  for _ in range(rng.randint(3, 9))}
+        try:
+            polygons.append(polygon_from_points(points))
+        except DegeneratePolygonError:  # collinear or too few distinct points
+            continue
+    return polygons

@@ -3,8 +3,9 @@
 Everything here is deliberately written against different algorithms than
 the package: Hilbert values by counting standard monomials under a Groebner
 basis, binary-quadric coprimality by exact root comparison over quadratic
-extensions, decomposition counts by a bitmask partition DP, and the Fano
-polytope by a general 3D hull that scans every triple of points.
+extensions, maximal decompositions by per-state multiset backtracking and
+their counts by a bitmask partition DP, and the Fano polytope by a general
+3D hull that scans every triple of points.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Iterator
 
 from toric_deform.fano import Facet, LatticePolytope3
 from toric_deform.groebner import buchberger, monomials_of_degree
-from toric_deform.lattice import LatticePolygon, edge_vectors
+from toric_deform.lattice import LatticePolygon, MinkowskiDecomposition, Vec2, edge_vectors
 from toric_deform.polynomials import GREVLEX, Ideal, Polynomial, exponent_divides
 
 
@@ -102,11 +104,86 @@ def quadrics_coprime(f: Polynomial, g: Polynomial) -> bool:
     return not (quadric_roots(f) & quadric_roots(g))
 
 
+def _minimal_zero_parts(counts: tuple[int, ...], values: tuple[Vec2, ...],
+                        cache: dict) -> list[tuple[int, ...]]:
+    """All minimal zero-sum sub-multisets (as count vectors) that use at
+    least one copy of the first value still present in ``counts``."""
+    if counts in cache:
+        return cache[counts]
+    first = next(i for i, c in enumerate(counts) if c)
+    # largest coordinate sums still reachable from each suffix, for pruning
+    remaining_x = [0] * (len(values) + 1)
+    remaining_y = [0] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        remaining_x[i] = remaining_x[i + 1] + counts[i] * abs(values[i][0])
+        remaining_y[i] = remaining_y[i + 1] + counts[i] * abs(values[i][1])
+
+    found: list[tuple[int, ...]] = []
+    chosen = [0] * len(values)
+
+    def rec(i: int, sx: int, sy: int) -> None:
+        if abs(sx) > remaining_x[i] or abs(sy) > remaining_y[i]:
+            return
+        if i == len(values):
+            if sx == 0 and sy == 0 and any(chosen):
+                found.append(tuple(chosen))
+            return
+        lo = 1 if i == first else 0
+        for c in range(lo, counts[i] + 1):
+            chosen[i] = c
+            rec(i + 1, sx + c * values[i][0], sy + c * values[i][1])
+        chosen[i] = 0
+
+    rec(0, 0, 0)
+    minimal = [s for s in found
+               if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in found)]
+    cache[counts] = minimal
+    return minimal
+
+
+def enumerate_decompositions_backtracking(polygon: LatticePolygon) -> list[MinkowskiDecomposition]:
+    """Maximal Minkowski decompositions by multiset backtracking that lists
+    the minimal zero-sum parts again for every remaining multiset state.
+
+    Same output as ``enumerate_maximal_decompositions`` (canonically sorted),
+    by a different search: no packed count vectors, no meet-in-the-middle,
+    no cap.  Exponential; keep inputs to about 24 copies.
+    """
+    ev = edge_vectors(polygon)
+    copies: list[Vec2] = []
+    for prim, length in zip(ev.primitives, ev.lengths):
+        copies.extend([prim] * length)
+    values = tuple(sorted(set(copies)))
+    counts = tuple(sum(1 for c in copies if c == v) for v in values)
+    cache: dict = {}
+
+    def partitions(state: tuple[int, ...]) -> Iterator[tuple[tuple[Vec2, ...], ...]]:
+        if not any(state):
+            yield ()
+            return
+        for part in _minimal_zero_parts(state, values, cache):
+            rest = tuple(a - b for a, b in zip(state, part))
+            part_vectors = tuple(v for v, c in zip(values, part) for _ in range(c))
+            for tail in partitions(rest):
+                yield (part_vectors,) + tail
+
+    results = [MinkowskiDecomposition(tuple(sorted(parts)))
+               for parts in partitions(counts)]
+    results.sort(key=lambda d: (len(d.parts), d.parts))
+    return results
+
+
 def decomposition_count_bitmask(polygon: LatticePolygon) -> int:
     """Count partitions of the primitive edge copies into minimal zero-sum
-    parts by an index-bitmask dynamic program (independent of the multiset
-    backtracking used by the package)."""
+    parts by an index-bitmask dynamic program (independent of the
+    count-vector search used by the package).
+
+    Unit-edge polygons only: the bitmask tells identical copies of a
+    primitive apart, so a non-unit edge would count one multiset partition
+    several times (4 instead of 1 on the 2x2 square).
+    """
     ev = edge_vectors(polygon)
+    assert all(l == 1 for l in ev.lengths), "bitmask oracle needs unit edges"
     vectors: list[tuple[int, int]] = []
     for prim, length in zip(ev.primitives, ev.lengths):
         vectors.extend([prim] * length)

@@ -1,7 +1,5 @@
 """The height-(+1/-1) polytope, its Fano/prism checks, and branch bounds."""
 
-import random
-
 import pytest
 
 from oracles import _dot3, convex_hull_3d
@@ -23,7 +21,6 @@ from toric_deform.gallery import (
 )
 from toric_deform.hulls import NonUnitEdgeError
 from toric_deform.lattice import (
-    DegeneratePolygonError,
     build_hexagon_family,
     is_centrally_symmetric,
     is_unit_edge,
@@ -80,24 +77,10 @@ def test_family_polytopes():
         _assert_valid_polytope(p)
 
 
-def _random_polygons(count, seed=0):
-    rng = random.Random(seed)
-    polygons = []
-    while len(polygons) < count:
-        points = {(rng.randint(-4, 4), rng.randint(-4, 4))
-                  for _ in range(rng.randint(3, 9))}
-        try:
-            polygons.append(polygon_from_points(points))
-        except DegeneratePolygonError:  # collinear or too few distinct points
-            continue
-    return polygons
-
-
-def test_closed_form_matches_hull_oracle(corpus):
-    randoms = _random_polygons(40)
-    assert any(not is_unit_edge(p) for p in randoms)
+def test_closed_form_matches_hull_oracle(corpus, random_polygons):
+    assert any(not is_unit_edge(p) for p in random_polygons)
     polygons = (list(GALLERY.values()) + corpus
-                + [build_hexagon_family(r) for r in range(4)] + randoms)
+                + [build_hexagon_family(r) for r in range(4)] + random_polygons)
     for poly in polygons:
         lifted = [(x, y, 1) for x, y in poly.vertices]
         lifted += [(-x, -y, -1) for x, y in poly.vertices]

@@ -26,7 +26,8 @@ from toric_deform.lattice import (
     symmetry_center_doubled,
 )
 
-from oracles import decomposition_count_bitmask
+from oracles import decomposition_count_bitmask, enumerate_decompositions_backtracking
+from toric_deform.gallery import GALLERY
 
 TRIANGLE = polygon_from_points([(0, 0), (1, 0), (0, 1)])
 SQUARE = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -53,6 +54,16 @@ def test_hull_rejects_degenerate_input():
         polygon_from_points([(0, 0), (1, 1)])
     with pytest.raises(DegeneratePolygonError):
         polygon_from_points([(0, 0), (1, 1), (2, 2), (3, 3)])
+
+
+def test_points_must_have_integer_coordinates():
+    for bad in ([(0.5, 0), (1, 0), (0, 1)], [(True, 0), (1, 0), (0, 1)]):
+        with pytest.raises(ValueError):
+            polygon_from_points(bad)
+        with pytest.raises(ValueError):
+            minkowski_sum(TRIANGLE, bad)
+        with pytest.raises(ValueError):
+            minkowski_sum(bad, TRIANGLE)
 
 
 def test_quadrilateral_has_four_vertices():
@@ -148,6 +159,27 @@ def test_decomposition_counts_match_bitmask_oracle(corpus):
         assert decomposition_count(poly) == decomposition_count_bitmask(poly)
     assert decomposition_count(build_hexagon_family(1)) == \
         decomposition_count_bitmask(build_hexagon_family(1))
+
+
+def test_bitmask_oracle_refuses_non_unit_edges():
+    with pytest.raises(AssertionError):
+        decomposition_count_bitmask(polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)]))
+
+
+def test_enumeration_matches_backtracking_oracle(corpus, random_polygons):
+    assert any(not is_unit_edge(p) for p in random_polygons)
+    polygons = (list(GALLERY.values()) + corpus
+                + [build_hexagon_family(r) for r in range(3)] + random_polygons)
+    for poly in polygons:
+        expected = enumerate_decompositions_backtracking(poly)
+        assert enumerate_maximal_decompositions(poly) == expected, poly
+        assert decomposition_count(poly) == len(expected), poly
+
+
+def test_family_counts_pinned():
+    # r = 4 has 30 copies, exactly the default cap
+    counts = [decomposition_count(build_hexagon_family(r)) for r in range(5)]
+    assert counts == [2, 8, 28, 100, 356]
 
 
 def test_parts_recombine_and_are_indecomposable(corpus):
