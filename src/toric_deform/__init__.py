@@ -22,7 +22,6 @@ from .groebner import (  # noqa: F401
     buchberger,
     contains_cube_of_maximal_ideal,
     eliminate,
-    graded_piece_dimension,
     hilbert_function,
     ideal_equal,
     ideal_intersect,

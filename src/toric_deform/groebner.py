@@ -1,18 +1,21 @@
-"""Groebner bases over the rationals and the linear algebra built on them.
+"""Groebner bases over the rationals, and Hilbert functions read off them.
 
-Buchberger's algorithm with the coprime-lead and chain criteria and
-sugar-degree pair selection, reduced bases with deterministic ordering,
-block-order elimination, the auxiliary-variable ideal intersection, and
-exact graded ranks (fraction-free integer elimination) for Hilbert
-functions.  Scale target is desk-size ideals: about a dozen variables,
-degrees up to the high single digits.
+Buchberger's algorithm with the coprime-lead and chain criteria and pairs
+taken from a heap by sugar degree, reduced bases with deterministic ordering,
+block-order elimination and the auxiliary-variable ideal intersection.
+Division takes terms from a heap, with order keys cached per run.  For
+homogeneous input ``max_degree`` truncates the run, and H(d) counts the
+degree-d monomials that no lead term of the truncated basis divides.  Scale
+target is desk-size ideals: about a dozen variables, degrees up to the high
+single digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .polynomials import (
@@ -28,6 +31,25 @@ from .polynomials import (
     exponent_quotient,
 )
 
+# (lead exponent, lead coefficient, polynomial) of one reducer
+_Reducer = tuple[Exponent, Fraction, Polynomial]
+
+
+class _KeyCache(dict):
+    """``order.descending_key`` per exponent, computed once on first use."""
+
+    def __init__(self, order: MonomialOrder):
+        self.order = order
+
+    def __missing__(self, e: Exponent) -> tuple:
+        key = self[e] = self.order.descending_key(e)
+        return key
+
+
+def _reducers(polys: Iterable[Polynomial], order: MonomialOrder) -> list[_Reducer]:
+    return [(g.leading_exponent(order), g.leading_coefficient(order), g)
+            for g in polys if not g.is_zero]
+
 
 @dataclass(frozen=True)
 class GroebnerBasis:
@@ -41,6 +63,10 @@ class GroebnerBasis:
     def leading_exponents(self) -> list[Exponent]:
         return [g.leading_exponent(self.order) for g in self.elements]
 
+    @cached_property
+    def _reduction_data(self) -> list[_Reducer]:
+        return _reducers(self.elements, self.order)
+
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero
 
@@ -53,18 +79,22 @@ def _common_ring(polys: Sequence[Polynomial]) -> tuple[str, ...]:
     return ring
 
 
-def _reduce_full(f: Polynomial, reducers: Sequence[Polynomial],
-                 order: MonomialOrder) -> Polynomial:
-    """Fully reduced remainder of f modulo the reducers (multivariate division)."""
-    reduction_data = [(g.leading_exponent(order), g.leading_coefficient(order), g)
-                      for g in reducers if not g.is_zero]
+def _reduce_full(f: Polynomial, reducers: Sequence[_Reducer], keys: _KeyCache) -> Polynomial:
+    """Fully reduced remainder of f modulo the reducers (multivariate division).
+
+    Terms come largest first from a heap; a cancelled term's entry is skipped.
+    A popped term never comes back, since reduction only adds smaller terms.
+    """
     work = dict(f.terms)
+    heap = [(keys[e], e) for e in work]
+    heapify(heap)
     remainder: dict[Exponent, Fraction] = {}
-    key = order.key
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        for le, lc, g in reduction_data:
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for le, lc, g in reducers:
             if exponent_divides(le, e):
                 shift = exponent_quotient(e, le)
                 factor = c / lc
@@ -72,11 +102,16 @@ def _reduce_full(f: Polynomial, reducers: Sequence[Polynomial],
                     if ge == le:
                         continue
                     k = exponent_mul(ge, shift)
-                    s = work.get(k, Fraction(0)) - factor * gc
-                    if s:
-                        work[k] = s
+                    old = work.get(k)
+                    if old is None:
+                        work[k] = -factor * gc
+                        heappush(heap, (keys[k], k))
                     else:
-                        work.pop(k, None)
+                        s = old - factor * gc
+                        if s:
+                            work[k] = s
+                        else:
+                            del work[k]
                 break
         else:
             remainder[e] = c
@@ -92,32 +127,35 @@ def normal_form(f: Polynomial, gb: "GroebnerBasis | Sequence[Polynomial]",
     if isinstance(gb, GroebnerBasis):
         if f.variables != gb.variables:
             raise RingMismatchError(f"rings differ: {f.variables} vs {gb.variables}")
-        return _reduce_full(f, gb.elements, gb.order)
+        return _reduce_full(f, gb._reduction_data, _KeyCache(gb.order))
     reducers = list(gb)
     if reducers:
         ring = _common_ring(reducers)
         if f.variables != ring:
             raise RingMismatchError(f"rings differ: {f.variables} vs {ring}")
-    return _reduce_full(f, reducers, order or GREVLEX)
+    order = order or GREVLEX
+    return _reduce_full(f, _reducers(reducers, order), _KeyCache(order))
 
 
-def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf, lg = f.leading_exponent(order), g.leading_exponent(order)
+def _s_polynomial(f: Polynomial, g: Polynomial, lf: Exponent, lg: Exponent) -> Polynomial:
+    """S-polynomial of two monic polynomials with leads ``lf`` and ``lg``."""
     l = exponent_lcm(lf, lg)
-    mf = Polynomial.monomial(f.variables, exponent_quotient(l, lf),
-                             1 / f.leading_coefficient(order))
-    mg = Polynomial.monomial(g.variables, exponent_quotient(l, lg),
-                             1 / g.leading_coefficient(order))
-    return mf * f - mg * g
+    return (Polynomial.monomial(f.variables, exponent_quotient(l, lf)) * f
+            - Polynomial.monomial(g.variables, exponent_quotient(l, lg)) * g)
 
 
-def buchberger(gens: "Ideal | Iterable[Polynomial]",
-               order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+def buchberger(gens: "Ideal | Iterable[Polynomial]", order: MonomialOrder = GREVLEX,
+               max_degree: int | None = None) -> GroebnerBasis:
     """Unique reduced Groebner basis of the given ideal under ``order``.
 
-    Pair selection is by sugar degree, with the coprime-lead and chain
-    criteria; the output is sorted by descending leading monomial so equal
-    ideals give byte-identical bases.
+    Pairs are taken from a heap by (sugar degree, lcm), with the coprime-lead
+    and chain criteria; the output is sorted by descending leading monomial
+    so equal ideals give byte-identical bases.
+
+    ``max_degree`` needs homogeneous generators, for which the sugar of a
+    pair is its degree: generators and pairs above it are dropped, and the
+    result is exactly the elements of degree <= ``max_degree`` of the full
+    reduced basis.
     """
     if isinstance(gens, Ideal):
         ring = gens.variables
@@ -127,78 +165,72 @@ def buchberger(gens: "Ideal | Iterable[Polynomial]",
         if not polys:
             raise ValueError("no variables known for an empty generator list")
         ring = _common_ring(polys)
+    if max_degree is not None:
+        if not all(p.is_homogeneous() for p in polys):
+            raise ValueError("max_degree needs homogeneous generators")
+        polys = [p for p in polys if p.total_degree() <= max_degree]
 
-    basis: list[Polynomial] = []
+    keys = _KeyCache(order)
     sugars: list[int] = []
     leads: list[Exponent] = []
+    reducers: list[_Reducer] = []
+    pending: set[tuple[int, int]] = set()
+    heap: list[tuple] = []
+
+    def add(p: Polynomial, sugar: int) -> None:
+        new = len(leads)
+        sugars.append(sugar)
+        leads.append(p.leading_exponent(order))
+        reducers.append((leads[new], Fraction(1), p))
+        for i in range(new):
+            l = exponent_lcm(leads[i], leads[new])
+            pair_sugar = max(sugars[i] + sum(l) - sum(leads[i]),
+                             sugars[new] + sum(l) - sum(leads[new]))
+            if max_degree is None or pair_sugar <= max_degree:
+                pending.add((i, new))
+                heappush(heap, (pair_sugar, order.key(l), i, new))
+
     for p in sorted({p.monic(order) for p in polys},
                     key=lambda q: order.key(q.leading_exponent(order))):
-        basis.append(p)
-        sugars.append(p.total_degree())
-        leads.append(p.leading_exponent(order))
+        add(p, p.total_degree())
 
-    def pair_data(i: int, j: int) -> tuple:
-        l = exponent_lcm(leads[i], leads[j])
-        sugar = max(sugars[i] + sum(l) - sum(leads[i]),
-                    sugars[j] + sum(l) - sum(leads[j]))
-        return (sugar, order.key(l), i, j)
-
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    while pending:
-        i, j = min(pending, key=lambda ij: pair_data(*ij))
+    while heap:
+        sugar, _, i, j = heappop(heap)
         pending.discard((i, j))
         l = exponent_lcm(leads[i], leads[j])
         # coprime leads: S-polynomial reduces to zero
         if l == exponent_mul(leads[i], leads[j]):
             continue
         # chain criterion: lcm divisible by a third lead whose pairs are done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if exponent_divides(leads[k], l):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
+        if any(exponent_divides(leads[k], l) and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k in range(len(leads)) if k not in (i, j)):
             continue
-        s = _s_polynomial(basis[i], basis[j], order)
-        h = _reduce_full(s, basis, order)
-        if h.is_zero:
-            continue
-        h = h.monic(order)
-        new = len(basis)
-        basis.append(h)
-        sugars.append(max(sugars[i] + sum(l) - sum(leads[i]),
-                          sugars[j] + sum(l) - sum(leads[j])))
-        leads.append(h.leading_exponent(order))
-        pending.update((t, new) for t in range(new))
+        h = _reduce_full(_s_polynomial(reducers[i][2], reducers[j][2], leads[i], leads[j]),
+                         reducers, keys)
+        if not h.is_zero:
+            add(h.monic(order), sugar)
 
     # minimalize: drop elements whose lead is divisible by another's lead
-    keep: list[Polynomial] = []
-    for idx, p in enumerate(basis):
-        lp = leads[idx]
-        if any(exponent_divides(leads[k], lp) for k in range(len(basis))
+    keep: list[_Reducer] = []
+    for idx, lp in enumerate(leads):
+        if any(exponent_divides(leads[k], lp) for k in range(len(leads))
                if k != idx and (not exponent_divides(lp, leads[k]) or k < idx)):
             continue
-        keep.append(p)
+        keep.append(reducers[idx])
     # full auto-reduction to the unique reduced basis
     changed = True
     while changed:
         changed = False
-        for idx in range(len(keep)):
+        for idx, (le, lc, p) in enumerate(keep):
             others = keep[:idx] + keep[idx + 1:]
-            r = _reduce_full(keep[idx], others, order) if others else keep[idx]
-            r = r.monic(order)
-            if r != keep[idx]:
-                keep[idx] = r
+            r = _reduce_full(p, others, keys).monic(order) if others else p
+            if r != p:
+                keep[idx] = (le, lc, r)
                 changed = True
-        keep = [p for p in keep if not p.is_zero]
-    keep.sort(key=lambda p: order.key(p.leading_exponent(order)), reverse=True)
-    return GroebnerBasis(tuple(keep), order, ring)
+        keep = [t for t in keep if not t[2].is_zero]
+    keep.sort(key=lambda t: order.key(t[0]), reverse=True)
+    return GroebnerBasis(tuple(t[2] for t in keep), order, ring)
 
 
 def ideal_equal(i: Ideal, j: Ideal) -> bool:
@@ -271,7 +303,7 @@ def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
     return eliminate(Ideal(tuple(gens), big), (aux,))
 
 
-# -- graded linear algebra ----------------------------------------------------
+# -- monomials and the Hilbert function ---------------------------------------
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
@@ -292,87 +324,27 @@ def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
     return out
 
 
-def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
-    denom = 1
-    for c in row.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = {k: int(c * denom) for k, c in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {k: v // g for k, v in ints.items()}
-    return ints
-
-
-def fraction_free_rank(rows: Iterable[dict[int, Fraction]]) -> int:
-    """Exact rank of a sparse rational matrix.
-
-    Rows are reduced one at a time by cross-multiplication against integer
-    pivot rows (fraction-free, Bareiss-style), with contents stripped so the
-    entries stay small.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for raw in rows:
-        row = _integer_row({k: v for k, v in raw.items() if v})
-        while row:
-            c = min(row)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = row
-                rank += 1
-                break
-            pc, rc = p[c], row[c]
-            new: dict[int, int] = {}
-            for k in row.keys() | p.keys():
-                v = row.get(k, 0) * pc - p.get(k, 0) * rc
-                if v:
-                    new[k] = v
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-            if g > 1:
-                new = {k: v // g for k, v in new.items()}
-            row = new
-    return rank
-
-
-def graded_piece_dimension(ideal: Ideal, d: int) -> int:
-    """Dimension of the degree-``d`` piece of a homogeneous ideal.
-
-    Spanned by all products (monomial)·(generator) of degree ``d``; the rank
-    is computed exactly over the integer-cleared coefficient matrix.
-    """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if not ideal.is_homogeneous:
-        raise ValueError("graded pieces need a homogeneous ideal")
-    n = len(ideal.variables)
-    basis = monomials_of_degree(n, d)
-    index = {e: i for i, e in enumerate(basis)}
-
-    def rows():
-        for g in ideal.nonzero_generators():
-            e_g = g.total_degree()
-            if e_g > d:
-                continue
-            for mu in monomials_of_degree(n, d - e_g):
-                yield {index[exponent_mul(mu, e)]: c for e, c in g.terms.items()}
-
-    return fraction_free_rank(rows())
-
-
 def hilbert_function(ideal: Ideal, d_max: int) -> list[int]:
     """Values H(0..d_max) of the Hilbert function of the quotient by a
-    homogeneous ideal: H(d) = C(n-1+d, d) - dim(ideal)_d."""
+    homogeneous ideal: H(d) counts the standard monomials of degree d, those
+    that no lead term of the degree-``d_max`` truncated basis divides.  Each is
+    grown from the standard monomial one degree lower, minus its last variable.
+    """
     if d_max < 0:
         raise ValueError("d_max must be non-negative")
     if not ideal.is_homogeneous:
         raise ValueError("Hilbert function needs a homogeneous ideal")
+    leads = buchberger(ideal, max_degree=d_max).leading_exponents()
     n = len(ideal.variables)
-    return [comb(n - 1 + d, d) - graded_piece_dimension(ideal, d)
-            for d in range(d_max + 1)]
+    level = [((0,) * n, 0)]  # (standard monomial, index of its last variable)
+    values: list[int] = []
+    for d in range(d_max + 1):
+        if d:
+            level = [(mono[:i] + (mono[i] + 1,) + mono[i + 1:], i)
+                     for mono, last in level for i in range(last, n)]
+        level = [(m, i) for m, i in level if not any(exponent_divides(l, m) for l in leads)]
+        values.append(len(level))
+    return values
 
 
 def contains_cube_of_maximal_ideal(f: Polynomial, g: Polynomial) -> bool:

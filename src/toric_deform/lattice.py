@@ -259,6 +259,7 @@ class _PartTable:
         self.width = w = max(counts).bit_length() + 1
         self.guard = sum(1 << (i * w + w - 1) for i in range(len(values)))
         self.full = sum(c << (i * w) for i, c in enumerate(counts))
+        self.bits = len(values) * w
         self.by_first: list[list[int]] = [[] for _ in values]
         for part in self._minimal_parts(counts):
             self.by_first[self._first(part)].append(part)
@@ -267,45 +268,57 @@ class _PartTable:
         return ((state & -state).bit_length() - 1) // self.width
 
     def _tabulate(self, counts: tuple[int, ...],
-                  indices: range) -> dict[int, dict[Vec2, list[int]]]:
-        """Every count-vector choice over ``indices``, by size, then by sum."""
+                  indices: range) -> dict[Vec2, dict[int, list[int]]]:
+        """Every count-vector choice over ``indices``, by sum, then by size."""
         choices = [(0, 0, 0, 0)]
         for i in indices:
             (vx, vy), shift = self.values[i], i * self.width
             choices = [(size + c, x + c * vx, y + c * vy, packed + (c << shift))
                        for size, x, y, packed in choices for c in range(counts[i] + 1)]
-        table: dict[int, dict[Vec2, list[int]]] = {}
+        table: dict[Vec2, dict[int, list[int]]] = {}
         for size, x, y, packed in choices:
-            table.setdefault(size, {}).setdefault((x, y), []).append(packed)
+            table.setdefault((x, y), {}).setdefault(size, []).append(packed)
         return table
 
     def _minimal_parts(self, counts: tuple[int, ...]) -> list[int]:
-        """Meet in the middle: join the two halves' choices on opposite sums,
-        in increasing total size, and keep a zero-sum vector only if no part
-        kept so far fits inside it.  The minimal parts inside a vector are
-        smaller than it, so they are all kept before the vector is met."""
+        """Meet in the middle: pair the two halves' choices with opposite sums,
+        grouped by total size, and keep a zero-sum vector only if no part kept
+        so far fits inside it.  Sizes are met in increasing order, so the
+        minimal parts inside a vector are all kept before the vector is met."""
         half = len(counts) // 2
         low = self._tabulate(counts, range(half))
         high = self._tabulate(counts, range(half, len(counts)))
+        joins: dict[int, list[tuple[list[int], list[int]]]] = {}
+        for (x, y), low_sizes in low.items():
+            for high_size, highs in high.get((-x, -y), {}).items():
+                for low_size, lows in low_sizes.items():
+                    joins.setdefault(low_size + high_size, []).append((lows, highs))
         guard = self.guard
         kept: list[int] = []
-        for size in range(1, sum(counts) + 1):
-            for low_size, low_sums in low.items():
-                high_sums = high.get(size - low_size, {})
-                for (x, y), lows in low_sums.items():
-                    for high_part in high_sums.get((-x, -y), ()):
-                        for low_part in lows:
-                            room = low_part + high_part + guard
-                            if all((room - part) & guard != guard for part in kept):
-                                kept.append(room - guard)
+        for size in sorted(joins)[1:]:  # size 0 is the empty choice
+            for lows, highs in joins[size]:
+                for high_part in highs:
+                    for low_part in lows:
+                        room = low_part + high_part + guard
+                        for part in kept:
+                            if (room - part) & guard == guard:
+                                break
+                        else:
+                            kept.append(room - guard)
         return kept
 
-    def candidates(self, state: int) -> Iterator[int]:
-        """The parts inside ``state`` that use its first present value."""
+    def steps(self, state: int, floor: int) -> Iterator[tuple[int, int, int]]:
+        """(part, rest, next floor) for the parts inside ``state`` that use its
+        first present value and are not below ``floor``.  Parts sharing the first
+        value come in non-decreasing order, so each partition is met once; with
+        unit edges the first value never outlives its part, and floors stay 0."""
+        first = self._first(state)
+        head = (1 << (first + 1) * self.width) - 1
         room = state | self.guard
-        for part in self.by_first[self._first(state)]:
-            if (room - part) & self.guard == self.guard:
-                yield part
+        for part in self.by_first[first]:
+            if part >= floor and (room - part) & self.guard == self.guard:
+                rest = state - part
+                yield part, rest, part if rest & head else 0
 
     def vectors(self, part: int) -> tuple[Vec2, ...]:
         mask = (1 << self.width) - 1
@@ -331,39 +344,42 @@ def enumerate_maximal_decompositions(polygon: LatticePolygon,
     Every edge is expanded into lattice-length many primitive copies.  The
     minimal zero-sum parts of the copy multiset are found once, by a
     meet-in-the-middle join on coordinate sums; the multiset is then
-    partitioned into them by backtracking on the first value still present.
-    The result is canonically sorted.
+    partitioned into them by backtracking on the first value still present,
+    taking parts that share it in non-decreasing order, so each decomposition
+    appears once.  The result is canonically sorted.
     """
     table = _part_table(polygon, cap)
 
-    def partitions(state: int) -> Iterator[tuple[tuple[Vec2, ...], ...]]:
+    def partitions(state: int, floor: int) -> Iterator[tuple[tuple[Vec2, ...], ...]]:
         if not state:
             yield ()
             return
-        for part in table.candidates(state):
+        for part, rest, next_floor in table.steps(state, floor):
             part_vectors = table.vectors(part)
-            for tail in partitions(state - part):
+            for tail in partitions(rest, next_floor):
                 yield (part_vectors,) + tail
 
     results = [MinkowskiDecomposition(tuple(sorted(parts)))
-               for parts in partitions(table.full)]
+               for parts in partitions(table.full, 0)]
     results.sort(key=lambda d: (len(d.parts), d.parts))
     return results
 
 
 def decomposition_count(polygon: LatticePolygon, cap: int | None = None) -> int:
     """``len(enumerate_maximal_decompositions(polygon, cap))``, counted by a
-    dynamic program memoized on the remaining count vector; no decomposition
-    is built."""
+    dynamic program memoized on the remaining count vector and the floor;
+    no decomposition is built."""
     table = _part_table(polygon, cap)
     memo = {0: 1}
 
-    def count(state: int) -> int:
-        if state not in memo:
-            memo[state] = sum(count(state - part) for part in table.candidates(state))
-        return memo[state]
+    def count(state: int, floor: int) -> int:
+        key = floor << table.bits | state  # just ``state`` while the floor is 0
+        if key not in memo:
+            memo[key] = sum(count(rest, next_floor)
+                            for _, rest, next_floor in table.steps(state, floor))
+        return memo[key]
 
-    return count(table.full)
+    return count(table.full, 0)
 
 
 # -- unimodular maps and the iterate family -----------------------------------

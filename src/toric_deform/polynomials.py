@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -64,26 +65,35 @@ class MonomialOrder:
         s = self.split
         return (_grevlex_key(exps[:s]), _grevlex_key(exps[s:]))
 
+    def descending_key(self, exps: Exponent) -> tuple:
+        """The negation of ``key``: sorting by it puts larger monomials first."""
+        if self.kind == "grevlex":
+            return (-sum(exps), exps[::-1])
+        if self.kind == "lex":
+            return tuple(-e for e in exps)
+        head, tail = exps[:self.split], exps[self.split:]
+        return ((-sum(head), head[::-1]), (-sum(tail), tail[::-1]))
+
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
 
 
 def exponent_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exponent_divides(a: Exponent, b: Exponent) -> bool:
     """True if the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exponent_quotient(b: Exponent, a: Exponent) -> Exponent:
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def exponent_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Polynomial:

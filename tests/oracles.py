@@ -1,24 +1,32 @@
 """Independent oracles used to cross-check the main implementations.
 
 Everything here is deliberately written against different algorithms than
-the package: Hilbert values by counting standard monomials under a Groebner
-basis, binary-quadric coprimality by exact root comparison over quadratic
-extensions, maximal decompositions by per-state multiset backtracking and
-their counts by a bitmask partition DP, and the Fano polytope by a general
-3D hull that scans every triple of points.
+the package: Hilbert values by exact ranks of the graded pieces
+(fraction-free integer elimination, no Groebner basis) and by counting
+standard monomials under an untruncated Groebner basis, binary-quadric
+coprimality by exact root comparison over quadratic extensions, maximal
+decompositions by per-state multiset backtracking and their counts by a
+bitmask partition DP, and the Fano polytope by a general 3D hull that scans
+every triple of points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
-from typing import Iterator
+from math import comb, gcd
+from typing import Iterable, Iterator
 
 from toric_deform.fano import Facet, LatticePolytope3
 from toric_deform.groebner import buchberger, monomials_of_degree
 from toric_deform.lattice import LatticePolygon, MinkowskiDecomposition, Vec2, edge_vectors
-from toric_deform.polynomials import GREVLEX, Ideal, Polynomial, exponent_divides
+from toric_deform.polynomials import (
+    GREVLEX,
+    Ideal,
+    Polynomial,
+    exponent_divides,
+    exponent_mul,
+)
 
 
 def hilbert_by_standard_monomials(ideal: Ideal, d_max: int) -> list[int]:
@@ -35,6 +43,86 @@ def hilbert_by_standard_monomials(ideal: Ideal, d_max: int) -> list[int]:
                     if not any(exponent_divides(l, mono) for l in leads))
         out.append(count)
     return out
+
+
+def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+    denom = 1
+    for c in row.values():
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = {k: int(c * denom) for k, c in row.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+    if g > 1:
+        ints = {k: v // g for k, v in ints.items()}
+    return ints
+
+
+def fraction_free_rank(rows: Iterable[dict[int, Fraction]]) -> int:
+    """Exact rank of a sparse rational matrix.
+
+    Rows are reduced one at a time by cross-multiplication against integer
+    pivot rows (fraction-free, Bareiss-style), with contents stripped so the
+    entries stay small.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    rank = 0
+    for raw in rows:
+        row = _integer_row({k: v for k, v in raw.items() if v})
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = row
+                rank += 1
+                break
+            pc, rc = p[c], row[c]
+            new: dict[int, int] = {}
+            for k in row.keys() | p.keys():
+                v = row.get(k, 0) * pc - p.get(k, 0) * rc
+                if v:
+                    new[k] = v
+            g = 0
+            for v in new.values():
+                g = gcd(g, v)
+            if g > 1:
+                new = {k: v // g for k, v in new.items()}
+            row = new
+    return rank
+
+
+def graded_piece_dimension(ideal: Ideal, d: int) -> int:
+    """Dimension of the degree-``d`` piece of a homogeneous ideal.
+
+    Spanned by all products (monomial)·(generator) of degree ``d``; the rank
+    is computed exactly over the integer-cleared coefficient matrix.
+    """
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    if not ideal.is_homogeneous:
+        raise ValueError("graded pieces need a homogeneous ideal")
+    n = len(ideal.variables)
+    basis = monomials_of_degree(n, d)
+    index = {e: i for i, e in enumerate(basis)}
+
+    def rows():
+        for g in ideal.nonzero_generators():
+            e_g = g.total_degree()
+            if e_g > d:
+                continue
+            for mu in monomials_of_degree(n, d - e_g):
+                yield {index[exponent_mul(mu, e)]: c for e, c in g.terms.items()}
+
+    return fraction_free_rank(rows())
+
+
+def hilbert_by_graded_ranks(ideal: Ideal, d_max: int) -> list[int]:
+    """H(d) = C(n-1+d, d) - dim(ideal)_d, each graded piece ranked on its own."""
+    if d_max < 0:
+        raise ValueError("d_max must be non-negative")
+    n = len(ideal.variables)
+    return [comb(n - 1 + d, d) - graded_piece_dimension(ideal, d)
+            for d in range(d_max + 1)]
 
 
 def _squarefree_part(n: int) -> int:
@@ -145,9 +233,10 @@ def enumerate_decompositions_backtracking(polygon: LatticePolygon) -> list[Minko
     """Maximal Minkowski decompositions by multiset backtracking that lists
     the minimal zero-sum parts again for every remaining multiset state.
 
-    Same output as ``enumerate_maximal_decompositions`` (canonically sorted),
-    by a different search: no packed count vectors, no meet-in-the-middle,
-    no cap.  Exponential; keep inputs to about 24 copies.
+    Same output as ``enumerate_maximal_decompositions`` (canonically sorted,
+    each decomposition once), by a different search: no packed count vectors,
+    no meet-in-the-middle, no cap, and repeats removed by a set rather than
+    by an order on the parts.  Exponential; keep inputs to about 24 copies.
     """
     ev = edge_vectors(polygon)
     copies: list[Vec2] = []
@@ -167,9 +256,10 @@ def enumerate_decompositions_backtracking(polygon: LatticePolygon) -> list[Minko
             for tail in partitions(rest):
                 yield (part_vectors,) + tail
 
-    results = [MinkowskiDecomposition(tuple(sorted(parts)))
-               for parts in partitions(counts)]
-    results.sort(key=lambda d: (len(d.parts), d.parts))
+    # a set, since parts that share the first value come in every order
+    results = sorted({MinkowskiDecomposition(tuple(sorted(parts)))
+                      for parts in partitions(counts)},
+                     key=lambda d: (len(d.parts), d.parts))
     return results
 
 

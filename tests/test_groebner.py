@@ -1,5 +1,6 @@
-"""Groebner engine: bases, normal forms, elimination, intersection, graded
-dimensions, and the coprimality test for binary quadrics."""
+"""Groebner engine: bases, truncated bases, normal forms, elimination,
+intersection, Hilbert values, and the coprimality test for binary quadrics;
+plus the graded-rank oracle's own unit tests."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,6 @@ from toric_deform.groebner import (
     buchberger,
     contains_cube_of_maximal_ideal,
     eliminate,
-    graded_piece_dimension,
     hilbert_function,
     ideal_equal,
     ideal_intersect,
@@ -27,7 +27,7 @@ from toric_deform.polynomials import (
     RingMismatchError,
 )
 
-from oracles import quadrics_coprime, univariate_product
+from oracles import graded_piece_dimension, quadrics_coprime, univariate_product
 
 RING = ("x", "y", "z")
 X = Polynomial.variable(RING, "x")
@@ -178,6 +178,27 @@ def test_graded_piece_dimension_examples():
 def test_graded_piece_requires_homogeneous():
     with pytest.raises(ValueError):
         graded_piece_dimension(Ideal.from_generators([X + 1]), 2)
+
+
+def test_truncation_needs_homogeneous_input():
+    with pytest.raises(ValueError):
+        buchberger(Ideal.from_generators([X ** 2 - Y, X * Y - Z]), max_degree=3)
+    with pytest.raises(ValueError):
+        buchberger([X ** 2 + Y], max_degree=2)
+    # without a bound, the same input is fine
+    assert buchberger(Ideal.from_generators([X ** 2 - Y, X * Y - Z])).elements
+
+
+def test_truncation_keeps_low_degree_elements():
+    ring = ("a", "b", "c", "d")
+    a, b, c, d = (Polynomial.variable(ring, v) for v in ring)
+    twisted_cubic = Ideal.from_generators([a * c - b ** 2, b * d - c ** 2, a * d - b * c])
+    mixed = Ideal.from_generators([a ** 2 - b * c, a * b - c * d, d ** 3])
+    for ideal in (twisted_cubic, mixed, K_IDEAL):
+        full = buchberger(ideal).elements
+        for degree in range(0, 6):
+            assert buchberger(ideal, max_degree=degree).elements == tuple(
+                g for g in full if g.total_degree() <= degree)
 
 
 def test_hilbert_function_examples():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from toric_deform.gallery import (
+    GALLERY,
     HEXAGON_SKEW,
     HEXAGON_SYMMETRIC,
     PENTAGON_COPRIME_QUADRICS,
@@ -33,10 +34,17 @@ from toric_deform.hulls import (
     verify_newton_recurrence,
     verify_truncation,
 )
-from toric_deform.lattice import build_hexagon_family, edge_vectors, polygon_from_points
+from toric_deform.lattice import (
+    UnimodularMap,
+    apply_unimodular,
+    build_hexagon_family,
+    edge_vectors,
+    mat_mul,
+    polygon_from_points,
+)
 from toric_deform.polynomials import Ideal, Polynomial
 
-from oracles import hilbert_by_standard_monomials
+from oracles import hilbert_by_graded_ranks
 
 TRIANGLE = polygon_from_points([(0, 0), (1, 0), (0, 1)])
 SQUARE = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -246,14 +254,45 @@ def test_hilbert_formulas_over_corpus(corpus):
             assert values[2] == (m * m - 5 * m + 2) // 2
 
 
-def test_rank_hilbert_agrees_with_standard_monomials(corpus):
+def _unimodular_images(polygons, count, seed):
+    rng = random.Random(seed)
+    moves = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)), ((0, 1), (1, 0))]
+    images = []
+    for k in range(count):
+        m = ((1, 0), (0, 1))
+        for _ in range(rng.randint(1, 4)):
+            m = mat_mul(m, rng.choice(moves))
+        shift = (rng.randint(-3, 3), rng.randint(-3, 3))
+        images.append(apply_unimodular(UnimodularMap(m, shift), polygons[k % len(polygons)]))
+    return images
+
+
+def test_hilbert_agrees_with_graded_ranks(corpus):
+    polygons = list(GALLERY.values()) + corpus + _unimodular_images(corpus, 20, 20241001)
+    for poly in polygons:
+        ideal = build_altmann_ideal(poly).ideal
+        d_max = 4 if poly.edge_count == 8 else 5
+        assert hilbert_function(ideal, d_max) == hilbert_by_graded_ranks(ideal, d_max), poly
+
+
+def test_truncated_basis_is_low_degree_part_of_full_basis(corpus):
     for poly in corpus:
-        if poly.edge_count > 6:
+        if poly.edge_count > 7:
             continue
         ideal = build_altmann_ideal(poly).ideal
-        d_max = 4
-        assert hilbert_function(ideal, d_max) == \
-            hilbert_by_standard_monomials(ideal, d_max)
+        full = buchberger(ideal).elements
+        for degree in range(1, 6):
+            assert buchberger(ideal, max_degree=degree).elements == tuple(
+                g for g in full if g.total_degree() <= degree), (poly, degree)
+
+
+def test_hilbert_values_are_prefixes(corpus):
+    for poly in corpus:
+        ideal = build_altmann_ideal(poly).ideal
+        d = 4 if poly.edge_count == 8 else 5
+        values = hilbert_function(ideal, d)
+        for k in range(d + 1):
+            assert hilbert_function(ideal, k) == values[:k + 1], (poly, k)
 
 
 def test_report_json_shape():

@@ -172,8 +172,20 @@ def test_enumeration_matches_backtracking_oracle(corpus, random_polygons):
                 + [build_hexagon_family(r) for r in range(3)] + random_polygons)
     for poly in polygons:
         expected = enumerate_decompositions_backtracking(poly)
-        assert enumerate_maximal_decompositions(poly) == expected, poly
+        found = enumerate_maximal_decompositions(poly)
+        assert len(set(found)) == len(found), poly
+        assert found == expected, poly
         assert decomposition_count(poly) == len(expected), poly
+
+
+def test_shared_first_value_parts_counted_once():
+    # non-unit edges: two parts may both use the first primitive value
+    for vertices, distinct in (([(-3, 2), (-1, -2), (0, -2), (1, -1), (1, 4), (-3, 4)], 2),
+                               ([(-3, -3), (4, -3), (4, 3), (3, 4), (1, 3), (-2, 0)], 3)):
+        poly = polygon_from_points(vertices)
+        decompositions = enumerate_maximal_decompositions(poly)
+        assert len(decompositions) == len(set(decompositions)) == distinct
+        assert decomposition_count(poly) == distinct
 
 
 def test_family_counts_pinned():
