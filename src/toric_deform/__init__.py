@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .polynomials import (  # noqa: F401
     GREVLEX,
-    LEX,
     Ideal,
     MonomialOrder,
     Polynomial,
@@ -25,7 +24,6 @@ from .groebner import (  # noqa: F401
     hilbert_function,
     ideal_equal,
     ideal_intersect,
-    monomials_of_degree,
     normal_form,
 )
 from .lattice import (  # noqa: F401

@@ -9,6 +9,7 @@ cap), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -159,6 +160,7 @@ def _cmd_verify_paper(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toric-deform",

@@ -1,13 +1,16 @@
 """Groebner bases over the rationals, and Hilbert functions read off them.
 
 Buchberger's algorithm with the coprime-lead and chain criteria and pairs
-taken from a heap by sugar degree, reduced bases with deterministic ordering,
-block-order elimination and the auxiliary-variable ideal intersection.
-Division takes terms from a heap, with order keys cached per run.  For
-homogeneous input ``max_degree`` truncates the run, and H(d) counts the
-degree-d monomials that no lead term of the truncated basis divides.  Scale
-target is desk-size ideals: about a dozen variables, degrees up to the high
-single digits.
+taken from a heap by sugar degree.  It ends in the unique reduced basis
+(minimalize, then one interreduction pass), sorted by descending lead, so
+two ideals are equal exactly when their bases are.  Elimination uses a block
+order, intersection the auxiliary-variable trick.  Inputs are ``Ideal``s;
+normal forms are taken against a ``GroebnerBasis``.  Division takes terms
+from a heap, with order keys cached per run.  For homogeneous input
+``max_degree`` truncates the run, and H(d) counts the degree-d monomials
+that no lead term of the truncated basis divides.  Scale target is
+desk-size ideals: about a dozen variables, degrees up to the high single
+digits.
 """
 
 from __future__ import annotations
@@ -46,11 +49,6 @@ class _KeyCache(dict):
         return key
 
 
-def _reducers(polys: Iterable[Polynomial], order: MonomialOrder) -> list[_Reducer]:
-    return [(g.leading_exponent(order), g.leading_coefficient(order), g)
-            for g in polys if not g.is_zero]
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements, no leading monomial divides
@@ -65,18 +63,8 @@ class GroebnerBasis:
 
     @cached_property
     def _reduction_data(self) -> list[_Reducer]:
-        return _reducers(self.elements, self.order)
-
-    def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self).is_zero
-
-
-def _common_ring(polys: Sequence[Polynomial]) -> tuple[str, ...]:
-    ring = polys[0].variables
-    for p in polys[1:]:
-        if p.variables != ring:
-            raise RingMismatchError(f"rings differ: {ring} vs {p.variables}")
-    return ring
+        return [(g.leading_exponent(self.order), g.leading_coefficient(self.order), g)
+                for g in self.elements]
 
 
 def _reduce_full(f: Polynomial, reducers: Sequence[_Reducer], keys: _KeyCache) -> Polynomial:
@@ -118,23 +106,14 @@ def _reduce_full(f: Polynomial, reducers: Sequence[_Reducer], keys: _KeyCache) -
     return Polynomial(f.variables, remainder)
 
 
-def normal_form(f: Polynomial, gb: "GroebnerBasis | Sequence[Polynomial]",
-                order: MonomialOrder | None = None) -> Polynomial:
+def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Fully reduced remainder of ``f`` against a Groebner basis.
 
     The result is zero exactly when ``f`` lies in the ideal.
     """
-    if isinstance(gb, GroebnerBasis):
-        if f.variables != gb.variables:
-            raise RingMismatchError(f"rings differ: {f.variables} vs {gb.variables}")
-        return _reduce_full(f, gb._reduction_data, _KeyCache(gb.order))
-    reducers = list(gb)
-    if reducers:
-        ring = _common_ring(reducers)
-        if f.variables != ring:
-            raise RingMismatchError(f"rings differ: {f.variables} vs {ring}")
-    order = order or GREVLEX
-    return _reduce_full(f, _reducers(reducers, order), _KeyCache(order))
+    if f.variables != gb.variables:
+        raise RingMismatchError(f"rings differ: {f.variables} vs {gb.variables}")
+    return _reduce_full(f, gb._reduction_data, _KeyCache(gb.order))
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial, lf: Exponent, lg: Exponent) -> Polynomial:
@@ -144,7 +123,7 @@ def _s_polynomial(f: Polynomial, g: Polynomial, lf: Exponent, lg: Exponent) -> P
             - Polynomial.monomial(g.variables, exponent_quotient(l, lg)) * g)
 
 
-def buchberger(gens: "Ideal | Iterable[Polynomial]", order: MonomialOrder = GREVLEX,
+def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX,
                max_degree: int | None = None) -> GroebnerBasis:
     """Unique reduced Groebner basis of the given ideal under ``order``.
 
@@ -157,14 +136,7 @@ def buchberger(gens: "Ideal | Iterable[Polynomial]", order: MonomialOrder = GREV
     result is exactly the elements of degree <= ``max_degree`` of the full
     reduced basis.
     """
-    if isinstance(gens, Ideal):
-        ring = gens.variables
-        polys = [g for g in gens.generators if not g.is_zero]
-    else:
-        polys = [g for g in gens if not g.is_zero]
-        if not polys:
-            raise ValueError("no variables known for an empty generator list")
-        ring = _common_ring(polys)
+    polys = ideal.nonzero_generators()
     if max_degree is not None:
         if not all(p.is_homogeneous() for p in polys):
             raise ValueError("max_degree needs homogeneous generators")
@@ -218,32 +190,20 @@ def buchberger(gens: "Ideal | Iterable[Polynomial]", order: MonomialOrder = GREV
                if k != idx and (not exponent_divides(lp, leads[k]) or k < idx)):
             continue
         keep.append(reducers[idx])
-    # full auto-reduction to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for idx, (le, lc, p) in enumerate(keep):
-            others = keep[:idx] + keep[idx + 1:]
-            r = _reduce_full(p, others, keys).monic(order) if others else p
-            if r != p:
-                keep[idx] = (le, lc, r)
-                changed = True
-        keep = [t for t in keep if not t[2].is_zero]
+    # auto-reduction: the leads are now fixed and never reduced, so once an
+    # element's tail is reduced against them it stays so, and one pass gives
+    # the unique reduced basis
+    for idx, (le, lc, p) in enumerate(keep):
+        keep[idx] = (le, lc, _reduce_full(p, keep[:idx] + keep[idx + 1:], keys))
     keep.sort(key=lambda t: order.key(t[0]), reverse=True)
-    return GroebnerBasis(tuple(t[2] for t in keep), order, ring)
+    return GroebnerBasis(tuple(t[2] for t in keep), order, ideal.variables)
 
 
 def ideal_equal(i: Ideal, j: Ideal) -> bool:
-    """Mutual membership of the generators, checked through normal forms."""
+    """Equal ideals are those with the same (unique) reduced basis."""
     if i.variables != j.variables:
         raise RingMismatchError(f"rings differ: {i.variables} vs {j.variables}")
-    gi, gj = i.nonzero_generators(), j.nonzero_generators()
-    if not gi or not gj:
-        return not gi and not gj
-    gb_i = buchberger(Ideal(gi, i.variables))
-    gb_j = buchberger(Ideal(gj, j.variables))
-    return (all(normal_form(g, gb_j).is_zero for g in gi)
-            and all(normal_form(g, gb_i).is_zero for g in gj))
+    return buchberger(i).elements == buchberger(j).elements
 
 
 def eliminate(ideal: Ideal, drop_vars: Iterable[str]) -> Ideal:
@@ -263,8 +223,6 @@ def eliminate(ideal: Ideal, drop_vars: Iterable[str]) -> Ideal:
                                     for e, c in p.terms.items()})
 
     gens = [permute(g) for g in ideal.nonzero_generators()]
-    if not gens:
-        return Ideal((), kept)
     split = len(ordered) - len(kept)
     gb = buchberger(Ideal(tuple(gens), ordered), MonomialOrder.block(split))
     out: list[Polynomial] = []
@@ -298,30 +256,10 @@ def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
 
     gens = [t * lift(g) for g in i.nonzero_generators()]
     gens += [one_minus_t * lift(g) for g in j.nonzero_generators()]
-    if not gens:
-        return Ideal((), i.variables)
     return eliminate(Ideal(tuple(gens), big), (aux,))
 
 
-# -- monomials and the Hilbert function ---------------------------------------
-
-
-def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
-    """All exponent tuples of total degree ``d``, in descending grevlex order."""
-    if nvars == 0:
-        return [()] if d == 0 else []
-    out: list[Exponent] = []
-
-    def rec(prefix: list[int], remaining: int, slot: int) -> None:
-        if slot == nvars - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slot + 1)
-
-    rec([], d, 0)
-    out.sort(key=GREVLEX.key, reverse=True)
-    return out
+# -- the Hilbert function -----------------------------------------------------
 
 
 def hilbert_function(ideal: Ideal, d_max: int) -> list[int]:
@@ -348,7 +286,8 @@ def hilbert_function(ideal: Ideal, d_max: int) -> list[int]:
 
 
 def contains_cube_of_maximal_ideal(f: Polynomial, g: Polynomial) -> bool:
-    """For two binary quadrics: does (f, g) contain every degree-3 monomial?
+    """For two binary quadrics: does (f, g) contain every degree-3 monomial,
+    that is, is H(3) of the quotient zero?
 
     Equivalent to coprimality of f and g.
     """
@@ -359,7 +298,4 @@ def contains_cube_of_maximal_ideal(f: Polynomial, g: Polynomial) -> bool:
     for p in (f, g):
         if p.is_zero or not p.is_homogeneous() or p.total_degree() != 2:
             raise ValueError("expected nonzero homogeneous quadrics")
-    gb = buchberger(Ideal((f, g), f.variables))
-    ring = f.variables
-    cubics = [Polynomial.monomial(ring, (3 - k, k)) for k in range(4)]
-    return all(normal_form(c, gb).is_zero for c in cubics)
+    return hilbert_function(Ideal((f, g), f.variables), 3)[3] == 0

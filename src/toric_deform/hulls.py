@@ -214,38 +214,35 @@ def verify_truncation(polygon: LatticePolygon, k_extra: int) -> bool:
     """The power sums beyond degree m-2 already lie in the truncated ideal."""
     pres = build_altmann_ideal(polygon)
     red = reduced_presentation(pres)
-    gb = buchberger(red.ideal) if red.ideal.generators else None
+    gb = buchberger(red.ideal)
     m = polygon.edge_count
-    for k in range(m - 1, m - 2 + k_extra + 1):
-        for which in ("a", "b"):
-            f = red.reduce(pres.power_sum(which, k))
-            if gb is None:
-                if not f.is_zero:
-                    return False
-            elif not normal_form(f, gb).is_zero:
-                return False
-    return True
+    return all(normal_form(red.reduce(pres.power_sum(which, k)), gb).is_zero
+               for k in range(m - 1, m - 1 + k_extra) for which in ("a", "b"))
+
+
+def drop_edge_map(source: AltmannPresentation,
+                  target: AltmannPresentation) -> dict[str, Polynomial]:
+    """The linear change of variables from one dropped-edge presentation to
+    another.  With s and j the edges they drop, it sends x_i -> x_i - x_s and
+    x_j -> -x_s, every image in the target's ring."""
+    ring = target.variables
+    shift = Polynomial.variable(ring, f"x{source.dropped_edge + 1}")
+    return {f"x{i + 1}": -shift if i == target.dropped_edge
+            else Polynomial.variable(ring, f"x{i + 1}") - shift
+            for i in source.edge_indices}
 
 
 def verify_drop_edge_invariance(polygon: LatticePolygon) -> bool:
-    """Dropping any edge yields the same ideal up to the explicit linear
-    change of variables x_i -> y_i - y_j, x_j -> -y_j."""
+    """Dropping any edge yields the same ideal up to the change of variables
+    of ``drop_edge_map``."""
     m = polygon.edge_count
     if m > 7:
         raise ValueError("drop invariance check is limited to m <= 7 for cost")
     pres0 = build_altmann_ideal(polygon, dropped_edge=0)
     for j in range(1, m):
         pres_j = build_altmann_ideal(polygon, dropped_edge=j)
-        target = pres_j.variables
-        y0 = Polynomial.variable(target, "x1")
-        mapping: dict[str, Polynomial] = {}
-        for i in pres0.edge_indices:
-            name = f"x{i + 1}"
-            if i == j:
-                mapping[name] = -y0
-            else:
-                mapping[name] = Polynomial.variable(target, name) - y0
-        image = linear_substitute(pres0.ideal, mapping, target)
+        image = linear_substitute(pres0.ideal, drop_edge_map(pres0, pres_j),
+                                  pres_j.variables)
         if not ideal_equal(image, pres_j.ideal):
             return False
     return True

@@ -55,10 +55,6 @@ def lattice_length(v: Vec2) -> int:
     return gcd(abs(v[0]), abs(v[1]))
 
 
-def is_primitive(v: Vec2) -> bool:
-    return lattice_length(v) == 1
-
-
 def _angle_cmp(a: Vec2, b: Vec2) -> int:
     """Order nonzero vectors counter-clockwise starting from the positive
     x-axis; equal directions compare by the raw tuples."""

@@ -29,7 +29,7 @@ def _grevlex_key(exps: Exponent) -> tuple:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: ``grevlex``, ``lex`` or a two-block elimination order.
+    """A monomial order: ``grevlex`` or a two-block elimination order.
 
     ``key(exps)`` returns a sort key; larger key means larger monomial.
     A block order compares the first ``split`` exponents (grevlex) first,
@@ -40,7 +40,7 @@ class MonomialOrder:
     split: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("grevlex", "lex", "block"):
+        if self.kind not in ("grevlex", "block"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
         if (self.kind == "block") != (self.split is not None):
             raise ValueError("block orders need a split point; others must not have one")
@@ -50,18 +50,12 @@ class MonomialOrder:
         return cls("grevlex")
 
     @classmethod
-    def lex(cls) -> "MonomialOrder":
-        return cls("lex")
-
-    @classmethod
     def block(cls, split: int) -> "MonomialOrder":
         return cls("block", split)
 
     def key(self, exps: Exponent) -> tuple:
         if self.kind == "grevlex":
             return _grevlex_key(exps)
-        if self.kind == "lex":
-            return tuple(exps)
         s = self.split
         return (_grevlex_key(exps[:s]), _grevlex_key(exps[s:]))
 
@@ -69,14 +63,11 @@ class MonomialOrder:
         """The negation of ``key``: sorting by it puts larger monomials first."""
         if self.kind == "grevlex":
             return (-sum(exps), exps[::-1])
-        if self.kind == "lex":
-            return tuple(-e for e in exps)
         head, tail = exps[:self.split], exps[self.split:]
         return ((-sum(head), head[::-1]), (-sum(tail), tail[::-1]))
 
 
 GREVLEX = MonomialOrder.grevlex()
-LEX = MonomialOrder.lex()
 
 
 def exponent_mul(a: Exponent, b: Exponent) -> Exponent:
@@ -266,16 +257,14 @@ class Polynomial:
     # -- substitution -----------------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, "Polynomial"],
-                   variables: Iterable[str] | None = None) -> "Polynomial":
-        """Apply the ring homomorphism sending each variable to its image.
+                   variables: Iterable[str]) -> "Polynomial":
+        """Apply the ring homomorphism into ``variables`` sending each
+        variable to its image.
 
         Unmapped variables are sent to the variable of the same name in the
         target ring, which must therefore declare them.
         """
-        if variables is not None:
-            target = tuple(variables)
-        else:
-            target = next(iter(mapping.values())).variables if mapping else self.variables
+        target = tuple(variables)
         images: list[Polynomial] = []
         for v in self.variables:
             if v in mapping:
@@ -372,9 +361,10 @@ class Ideal:
         return tuple(g for g in self.generators if not g.is_zero)
 
 
-def linear_substitute(obj: "Polynomial | Ideal", mapping: Mapping[str, Polynomial],
-                      variables: Iterable[str] | None = None) -> "Polynomial | Ideal":
-    """Apply a linear change of variables to a polynomial or an ideal.
+def linear_substitute(ideal: Ideal, mapping: Mapping[str, Polynomial],
+                      variables: Iterable[str]) -> Ideal:
+    """Apply a linear change of variables into the ring ``variables`` to the
+    generators of an ideal.
 
     Every image must have total degree at most 1; a map without constant
     terms preserves homogeneity.
@@ -382,8 +372,5 @@ def linear_substitute(obj: "Polynomial | Ideal", mapping: Mapping[str, Polynomia
     for v, img in mapping.items():
         if img.total_degree() > 1:
             raise ValueError(f"image of {v!r} is not linear: {img}")
-    if isinstance(obj, Ideal):
-        gens = [g.substitute(mapping, variables) for g in obj.generators]
-        target = gens[0].variables if gens else tuple(variables or ())
-        return Ideal(tuple(gens), target)
-    return obj.substitute(mapping, variables)
+    target = tuple(variables)
+    return Ideal(tuple(g.substitute(mapping, target) for g in ideal.generators), target)

@@ -40,6 +40,7 @@ from .hulls import (
     build_altmann_ideal,
     classify,
     cyclic_quotient_t1,
+    drop_edge_map,
     hj_expansion,
     hull_report,
     reduced_presentation,
@@ -136,13 +137,7 @@ def _check_drop_map_telescope() -> bool:
     pres_b = build_altmann_ideal(HEXAGON_SKEW, dropped_edge=m - 1)
     target = pres_b.variables
     y1 = Polynomial.variable(target, "x1")
-    mapping = {}
-    for i in pres_a.edge_indices:
-        name = f"x{i + 1}"
-        if i == m - 1:
-            mapping[name] = -y1
-        else:
-            mapping[name] = Polynomial.variable(target, name) - y1
+    mapping = drop_edge_map(pres_a, pres_b)
     for k in range(1, m - 1):
         image = pres_a.power_sum("a", k).substitute(mapping, target)
         expected = Polynomial.zero(target)

@@ -18,15 +18,34 @@ from math import comb, gcd
 from typing import Iterable, Iterator
 
 from toric_deform.fano import Facet, LatticePolytope3
-from toric_deform.groebner import buchberger, monomials_of_degree
+from toric_deform.groebner import buchberger
 from toric_deform.lattice import LatticePolygon, MinkowskiDecomposition, Vec2, edge_vectors
 from toric_deform.polynomials import (
     GREVLEX,
+    Exponent,
     Ideal,
     Polynomial,
     exponent_divides,
     exponent_mul,
 )
+
+
+def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
+    """All exponent tuples of total degree ``d``, in descending grevlex order."""
+    if nvars == 0:
+        return [()] if d == 0 else []
+    out: list[Exponent] = []
+
+    def rec(prefix: list[int], remaining: int, slot: int) -> None:
+        if slot == nvars - 1:
+            out.append(tuple(prefix + [remaining]))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + [e], remaining - e, slot + 1)
+
+    rec([], d, 0)
+    out.sort(key=GREVLEX.key, reverse=True)
+    return out
 
 
 def hilbert_by_standard_monomials(ideal: Ideal, d_max: int) -> list[int]:

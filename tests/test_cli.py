@@ -165,6 +165,19 @@ def test_usage_errors_exit_2(capsys):
     assert run(["newton-check", "0", "7"]) == 2
 
 
+def test_repeated_runs_do_not_share_state(pentagon_tangent, capsys):
+    outputs = []
+    for _ in range(2):
+        assert run(["family", "--r", "x"]) == 2
+        assert run(["family", "--r", "-1"]) == 2
+        assert run(["classify", pentagon_tangent, "--json"]) == 0
+        assert run(["classify", pentagon_tangent]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "invalid int value" in outputs[0].err
+    assert outputs[0].out.count("Case2b") == 2
+
+
 def test_console_script_installed():
     result = subprocess.run([sys.executable, "-m", "toric_deform.cli", "--version"],
                             capture_output=True, text=True)

@@ -16,18 +16,24 @@ from toric_deform.groebner import (
     hilbert_function,
     ideal_equal,
     ideal_intersect,
-    monomials_of_degree,
     normal_form,
 )
+from toric_deform.hulls import build_altmann_ideal, reduced_presentation
 from toric_deform.polynomials import (
     GREVLEX,
     Ideal,
     MonomialOrder,
     Polynomial,
     RingMismatchError,
+    exponent_divides,
 )
 
-from oracles import graded_piece_dimension, quadrics_coprime, univariate_product
+from oracles import (
+    graded_piece_dimension,
+    monomials_of_degree,
+    quadrics_coprime,
+    univariate_product,
+)
 
 RING = ("x", "y", "z")
 X = Polynomial.variable(RING, "x")
@@ -50,7 +56,7 @@ def test_monomial_ideal_is_its_own_reduced_basis():
 def test_single_generator_is_normalized():
     ring = ("x",)
     x = Polynomial.variable(ring, "x")
-    gb = buchberger(Ideal.from_generators([3 * x ** 2 - 3]), MonomialOrder.lex())
+    gb = buchberger(Ideal.from_generators([3 * x ** 2 - 3]))
     assert [str(g) for g in gb.elements] == ["x^2 - 1"]
 
 
@@ -98,6 +104,20 @@ def test_eliminate_examples():
     assert [str(g) for g in prod.generators] == ["u*v"]
 
 
+def test_zero_ideal_cases():
+    zero = Ideal((), RING)
+    assert ideal_equal(zero, Ideal((Polynomial.zero(RING),), RING))
+    assert not ideal_equal(zero, Ideal.from_generators([X]))
+    assert not ideal_equal(Ideal.from_generators([X]), zero)
+    gone = eliminate(zero, ("x",))
+    assert gone.variables == ("y", "z") and gone.generators == ()
+    for left, right in ((zero, Ideal.from_generators([X])),
+                        (Ideal.from_generators([X]), zero), (zero, zero)):
+        met = ideal_intersect(left, right)
+        assert met.variables == RING and met.generators == ()
+    assert hilbert_function(zero, 2) == [1, 3, 6]
+
+
 def test_eliminate_unknown_variable():
     with pytest.raises(ValueError):
         eliminate(Ideal.from_generators([X]), ("q",))
@@ -132,8 +152,9 @@ def test_intersection_on_principal_ideals_is_lcm():
         assert ideal_equal(met, Ideal.from_generators([lcm], ring))
 
 
-def test_groebner_idempotence_random():
+def _random_ideals() -> list[Ideal]:
     rng = random.Random(20240602)
+    ideals = []
     for _ in range(10):
         gens = []
         for _ in range(rng.randint(1, 3)):
@@ -142,11 +163,43 @@ def test_groebner_idempotence_random():
             p = Polynomial(RING, terms)
             if not p.is_zero:
                 gens.append(p)
-        if not gens:
-            continue
-        gb = buchberger(Ideal.from_generators(gens, RING))
+        if gens:
+            ideals.append(Ideal.from_generators(gens, RING))
+    return ideals
+
+
+def test_groebner_idempotence_random():
+    for ideal in _random_ideals():
+        gb = buchberger(ideal)
         if gb.elements:
             assert buchberger(Ideal.from_generators(list(gb.elements))).elements == gb.elements
+
+
+def _assert_reduced(gb: GroebnerBasis) -> None:
+    """Monic elements, and no term of any element divisible by the lead of
+    another: the defining properties of the reduced basis."""
+    leads = gb.leading_exponents()
+    for idx, g in enumerate(gb.elements):
+        assert g.leading_coefficient(gb.order) == 1, g
+        for k, lead in enumerate(leads):
+            if k != idx:
+                assert not any(exponent_divides(lead, e) for e in g.terms), (g, lead)
+
+
+def test_bases_are_reduced_random():
+    for ideal in _random_ideals():
+        for order in (GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)):
+            _assert_reduced(buchberger(ideal, order))
+
+
+def test_bases_are_reduced_on_corpus_presentations(corpus):
+    for poly in corpus:
+        pres = build_altmann_ideal(poly)
+        red = reduced_presentation(pres)
+        _assert_reduced(buchberger(pres.ideal))
+        _assert_reduced(buchberger(red.ideal))
+        if poly.edge_count <= 7:
+            _assert_reduced(buchberger(red.ideal, MonomialOrder.block(1)))
 
 
 def test_membership_soundness_random_combinations():
@@ -184,7 +237,7 @@ def test_truncation_needs_homogeneous_input():
     with pytest.raises(ValueError):
         buchberger(Ideal.from_generators([X ** 2 - Y, X * Y - Z]), max_degree=3)
     with pytest.raises(ValueError):
-        buchberger([X ** 2 + Y], max_degree=2)
+        buchberger(Ideal.from_generators([X ** 2 + Y]), max_degree=2)
     # without a bound, the same input is fine
     assert buchberger(Ideal.from_generators([X ** 2 - Y, X * Y - Z])).elements
 

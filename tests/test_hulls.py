@@ -128,6 +128,7 @@ def test_newton_recurrence_rejects_small_k():
 
 
 def test_truncation_examples():
+    assert verify_truncation(TRIANGLE, 2)
     assert verify_truncation(SQUARE, 2)
     assert verify_truncation(HEXAGON_SKEW, 2)
     assert verify_truncation(PENTAGON_TANGENT_QUADRICS, 2)
