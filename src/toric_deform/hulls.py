@@ -1,12 +1,14 @@
 """From a lattice polygon to the structure of its versal deformation base.
 
 The graded algebra attached to a polygon with m edges lives in m-1 variables
-(one edge is dropped; the edge vectors sum to zero, so the choice does not
-matter) and is cut out by the weighted power sums of the edge coordinates in
-degrees 1..m-2.  This module builds that presentation, verifies the algebra
-identities behind it, classifies the small embedding-dimension hulls, and
-assembles the full report: Hilbert values, irreducible components indexed by
-maximal Minkowski decompositions, and the artinian/rigidity side facts for
+(one edge is dropped; the edge vectors sum to zero, so the choice changes the
+ideal only by a linear change of variables) and is cut out by the weighted
+power sums of the edge coordinates in degrees 1..m-2.  This module builds
+that presentation, verifies the algebra identities behind it, eliminates two
+variables through the linear generators by a block-order basis
+(``reduced_presentation``), classifies the small embedding-dimension hulls,
+and assembles the full report: Hilbert values, irreducible components indexed
+by maximal Minkowski decompositions, and the artinian/rigidity side facts for
 cyclic quotient surfaces.
 """
 
@@ -19,6 +21,7 @@ from math import gcd
 from .groebner import (
     buchberger,
     contains_cube_of_maximal_ideal,
+    eliminate,
     hilbert_function,
     ideal_equal,
     normal_form,
@@ -108,70 +111,37 @@ def build_altmann_ideal(polygon: LatticePolygon, dropped_edge: int | None = None
 
 @dataclass(frozen=True)
 class ReducedPresentation:
-    """The presentation after solving the two degree-1 generators for two
-    pivot variables, leaving an ideal in m-3 variables."""
+    """The presentation with two pivot variables eliminated: its ideal
+    contracted to the other m-3 variables, where the two degree-1
+    generators solve for the pivots."""
 
     presentation: AltmannPresentation
     pivot_variables: tuple[str, str]
-    substitution: dict[str, Polynomial]
     variables: tuple[str, ...]
     ideal: Ideal
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        return f.substitute(self.substitution, self.variables)
 
 
 def reduced_presentation(pres: AltmannPresentation,
                          pivot_variables: tuple[str, str] | None = None) -> ReducedPresentation:
-    """Eliminate two variables using the linear generators.
+    """Eliminate two variables through the linear generators.
 
-    By default the pivots are the first two columns supporting an invertible
-    2x2 minor of the coefficient rows, so the reduction is deterministic;
-    an explicit pivot pair may be requested instead.
+    By default the pivots are the first nonzero column of the coefficient
+    rows and the first column independent of it, so the reduction is
+    deterministic; an explicit pivot pair with an invertible 2x2 minor may be
+    requested instead.  The ideal is the pivot-free part of a block-order
+    basis (``eliminate``).
     """
-    a = [Fraction(c) for c in pres.a_coeffs]
-    b = [Fraction(c) for c in pres.b_coeffs]
-    n = len(a)
-    rows = [a[:], b[:]]
-    if pivot_variables is not None:
-        columns = [pres.variables.index(v) for v in pivot_variables]
-        if a[columns[0]] * b[columns[1]] - a[columns[1]] * b[columns[0]] == 0:
-            raise ValueError(f"columns {pivot_variables} are not an invertible minor")
+    a, b = pres.a_coeffs, pres.b_coeffs
+    if pivot_variables is None:
+        i = next(k for k in range(len(a)) if a[k] or b[k])
+        j = next(k for k in range(i + 1, len(a)) if a[i] * b[k] - a[k] * b[i])
+        pivot_variables = (pres.variables[i], pres.variables[j])
     else:
-        columns = range(n)
-    pivots: list[int] = []
-    r = 0
-    for col in columns:
-        src = next((k for k in range(r, 2) if rows[k][col]), None)
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(2):
-            if k != r and rows[k][col]:
-                c = rows[k][col]
-                rows[k] = [v - c * w for v, w in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == 2:
-            break
-    assert len(pivots) == 2, "rank 2 was checked at construction"
-    keep = tuple(v for i, v in enumerate(pres.variables) if i not in pivots)
-    substitution: dict[str, Polynomial] = {}
-    for row, piv in zip(rows, pivots):
-        image = Polynomial.zero(keep)
-        for j, c in enumerate(row):
-            if j != piv and c:
-                image = image - c * Polynomial.variable(keep, pres.variables[j])
-        substitution[pres.variables[piv]] = image
-    gens = []
-    for g in pres.ideal.generators:
-        img = g.substitute(substitution, keep)
-        if not img.is_zero:
-            gens.append(img)
-    return ReducedPresentation(pres, (pres.variables[pivots[0]], pres.variables[pivots[1]]),
-                               substitution, keep, Ideal(tuple(gens), keep))
+        i, j = (pres.variables.index(v) for v in pivot_variables)
+        if a[i] * b[j] - a[j] * b[i] == 0:
+            raise ValueError(f"columns {pivot_variables} are not an invertible minor")
+    ideal = eliminate(pres.ideal, pivot_variables)
+    return ReducedPresentation(pres, tuple(pivot_variables), ideal.variables, ideal)
 
 
 # -- identity checks ----------------------------------------------------------
@@ -213,10 +183,9 @@ def verify_newton_recurrence(variables: list[str], coeffs: list, k: int) -> bool
 def verify_truncation(polygon: LatticePolygon, k_extra: int) -> bool:
     """The power sums beyond degree m-2 already lie in the truncated ideal."""
     pres = build_altmann_ideal(polygon)
-    red = reduced_presentation(pres)
-    gb = buchberger(red.ideal)
+    gb = buchberger(pres.ideal)
     m = polygon.edge_count
-    return all(normal_form(red.reduce(pres.power_sum(which, k)), gb).is_zero
+    return all(normal_form(pres.power_sum(which, k), gb).is_zero
                for k in range(m - 1, m - 1 + k_extra) for which in ("a", "b"))
 
 
@@ -359,8 +328,8 @@ def hull_report(polygon: LatticePolygon, d_max: int | None = None,
 
     ``d_max`` defaults to max(4, m-2), enough to separate every
     classification case and exercise the degree-2 dimension formula.  The
-    dropped edge does not change any reported value (see
-    ``verify_drop_edge_invariance``), only the presentation used internally.
+    dropped edge changes no invariant (see ``verify_drop_edge_invariance``);
+    ``generators`` shows the presentation it chooses.
     """
     if not is_unit_edge(polygon):
         raise NonUnitEdgeError("hull report needs unit edges (isolated singularity)")
@@ -454,9 +423,9 @@ def hj_expansion(n: int, d: int) -> HJExpansion:
 
 
 def cyclic_quotient_t1(s: CyclicQuotient) -> int:
-    """Dimension of the first-order deformation space; the hull is smooth of
-    this dimension.  The q = n-1 series is the du Val A-chain, with one
-    deformation parameter per chain node."""
+    """Dimension of T^1, the first-order deformation space.  The q = n-1
+    series is the du Val A-chain, with one deformation parameter per chain
+    node."""
     if s.q == s.n - 1:
         return s.n - 1
     return sum(hj_expansion(s.n, s.n - s.q).entries) - 2

@@ -3,11 +3,12 @@
 Everything here is deliberately written against different algorithms than
 the package: Hilbert values by exact ranks of the graded pieces
 (fraction-free integer elimination, no Groebner basis) and by counting
-standard monomials under an untruncated Groebner basis, binary-quadric
-coprimality by exact root comparison over quadratic extensions, maximal
-decompositions by per-state multiset backtracking and their counts by a
-bitmask partition DP, and the Fano polytope by a general 3D hull that scans
-every triple of points.
+standard monomials under an untruncated Groebner basis, the reduced
+presentation by Gaussian elimination on the linear generators and
+substitution into the others (no block order), binary-quadric coprimality by
+exact root comparison over quadratic extensions, maximal decompositions by
+per-state multiset backtracking and their counts by a bitmask partition DP,
+and the Fano polytope by a general 3D hull that scans every triple of points.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterable, Iterator
 
 from toric_deform.fano import Facet, LatticePolytope3
 from toric_deform.groebner import buchberger
+from toric_deform.hulls import AltmannPresentation
 from toric_deform.lattice import LatticePolygon, MinkowskiDecomposition, Vec2, edge_vectors
 from toric_deform.polynomials import (
     GREVLEX,
@@ -62,6 +64,60 @@ def hilbert_by_standard_monomials(ideal: Ideal, d_max: int) -> list[int]:
                     if not any(exponent_divides(l, mono) for l in leads))
         out.append(count)
     return out
+
+
+def reduced_presentation_by_substitution(
+        pres: AltmannPresentation, pivot_variables: tuple[str, str] | None = None
+) -> tuple[dict[str, Polynomial], Ideal]:
+    """Solve the two degree-1 generators for two pivot variables by Gaussian
+    elimination and substitute the solution into every generator.
+
+    Returns the substitution and the substituted ideal in the other m-3
+    variables.  Default pivots are the reduced-row-echelon pivot columns; an
+    explicit pair must have an invertible 2x2 minor.
+    """
+    a = [Fraction(c) for c in pres.a_coeffs]
+    b = [Fraction(c) for c in pres.b_coeffs]
+    n = len(a)
+    rows = [a[:], b[:]]
+    if pivot_variables is not None:
+        columns = [pres.variables.index(v) for v in pivot_variables]
+        if a[columns[0]] * b[columns[1]] - a[columns[1]] * b[columns[0]] == 0:
+            raise ValueError(f"columns {pivot_variables} are not an invertible minor")
+    else:
+        columns = range(n)
+    pivots: list[int] = []
+    r = 0
+    for col in columns:
+        src = next((k for k in range(r, 2) if rows[k][col]), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for k in range(2):
+            if k != r and rows[k][col]:
+                c = rows[k][col]
+                rows[k] = [v - c * w for v, w in zip(rows[k], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == 2:
+            break
+    assert len(pivots) == 2, "rank 2 was checked at construction"
+    keep = tuple(v for i, v in enumerate(pres.variables) if i not in pivots)
+    substitution: dict[str, Polynomial] = {}
+    for row, piv in zip(rows, pivots):
+        image = Polynomial.zero(keep)
+        for j, c in enumerate(row):
+            if j != piv and c:
+                image = image - c * Polynomial.variable(keep, pres.variables[j])
+        substitution[pres.variables[piv]] = image
+    gens = []
+    for g in pres.ideal.generators:
+        img = g.substitute(substitution, keep)
+        if not img.is_zero:
+            gens.append(img)
+    return substitution, Ideal(tuple(gens), keep)
 
 
 def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:

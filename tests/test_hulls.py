@@ -1,6 +1,7 @@
 """Presentations, algebra identity checks, classification, hull reports,
 and the cyclic-quotient surface side."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -44,7 +45,13 @@ from toric_deform.lattice import (
 )
 from toric_deform.polynomials import Ideal, Polynomial
 
-from oracles import hilbert_by_graded_ranks
+from conftest import build_corpus
+from oracles import (
+    hilbert_by_graded_ranks,
+    hilbert_by_standard_monomials,
+    quadrics_coprime,
+    reduced_presentation_by_substitution,
+)
 
 TRIANGLE = polygon_from_points([(0, 0), (1, 0), (0, 1)])
 SQUARE = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -92,13 +99,50 @@ def test_presentation_rejects_bad_indices():
 def test_reduced_presentation_matches_full_membership():
     pres = build_altmann_ideal(PENTAGON_COPRIME_QUADRICS)
     red = reduced_presentation(pres)
+    substitution, _ = reduced_presentation_by_substitution(pres)
     assert len(red.variables) == 2
     gb_full = buchberger(pres.ideal)
     gb_red = buchberger(red.ideal)
     for k in (4, 5):
         full_member = normal_form(pres.power_sum("a", k), gb_full).is_zero
-        red_member = normal_form(red.reduce(pres.power_sum("a", k)), gb_red).is_zero
+        image = pres.power_sum("a", k).substitute(substitution, red.variables)
+        red_member = normal_form(image, gb_red).is_zero
         assert full_member and red_member
+
+
+def test_reduced_presentation_matches_substitution_oracle(corpus):
+    polygons = list(GALLERY.values()) + corpus + _unimodular_images(corpus, 20, 20261020)
+    presentations = [build_altmann_ideal(poly) for poly in polygons]
+    # the first two columns are parallel, so the second pivot is the third
+    presentations.append(build_altmann_ideal(SQUARE, dropped_edge=1))
+    for pres in presentations:
+        red = reduced_presentation(pres)
+        substitution, ideal = reduced_presentation_by_substitution(pres)
+        assert red.pivot_variables == tuple(substitution)
+        assert red.variables == ideal.variables
+        assert buchberger(red.ideal).elements == buchberger(ideal).elements, pres.polygon
+    assert red.pivot_variables == ("x1", "x4")
+
+
+def test_reduced_presentation_explicit_pivots_on_skew_hexagon():
+    invertible = singular = 0
+    for dropped in range(HEXAGON_SKEW.edge_count):
+        pres = build_altmann_ideal(HEXAGON_SKEW, dropped_edge=dropped)
+        a, b = pres.a_coeffs, pres.b_coeffs
+        for i, j in itertools.combinations(range(len(a)), 2):
+            pivots = (pres.variables[i], pres.variables[j])
+            if a[i] * b[j] - a[j] * b[i] == 0:
+                singular += 1
+                with pytest.raises(ValueError, match="invertible minor"):
+                    reduced_presentation(pres, pivots)
+                continue
+            invertible += 1
+            red = reduced_presentation(pres, pivots)
+            _, ideal = reduced_presentation_by_substitution(pres, pivots)
+            assert red.pivot_variables == pivots
+            assert buchberger(red.ideal).elements == buchberger(ideal).elements, pivots
+    # the edge pair (-1, 1), (1, -1) is parallel whenever neither is dropped
+    assert singular == 4 and invertible == 56
 
 
 # -- identity checks ------------------------------------------------------------
@@ -191,6 +235,28 @@ def test_classification_exhaustive_and_hilbert_closed_forms(corpus):
         seen.add(case.tag)
         assert hull_report(poly).hilbert == EXPECTED_HILBERT[case.tag]
     assert seen == set(EXPECTED_HILBERT)
+
+
+def _pentagon_case_by_substitution(polygon):
+    """Case2a when the two quadrics of the substituted presentation have no
+    common root; otherwise Case2b or Case2c as H(3) is 0 or not."""
+    _, ideal = reduced_presentation_by_substitution(build_altmann_ideal(polygon))
+    f, g = (q for q in ideal.generators if q.total_degree() == 2)
+    if quadrics_coprime(f, g):
+        return "Case2a"
+    return "Case2b" if hilbert_by_standard_monomials(ideal, 3)[3] == 0 else "Case2c"
+
+
+def test_pentagon_classification_matches_oracle_on_census():
+    # all 104 zero-sum sets of 5 distinct primitive vectors in [-2, 2]^2
+    census = build_corpus({5: 104})
+    gallery = [PENTAGON_MONOMIAL_HULL, PENTAGON_COPRIME_QUADRICS, PENTAGON_TANGENT_QUADRICS]
+    tags = set()
+    for poly in census + gallery + _unimodular_images(gallery, 9, 20261021):
+        tag = classify(poly).tag
+        assert tag == _pentagon_case_by_substitution(poly), poly
+        tags.add(tag)
+    assert tags == {"Case2a", "Case2b", "Case2c"}
 
 
 def test_case_2a_2b_share_hilbert_but_differ_by_coprimality():
@@ -304,6 +370,23 @@ def test_report_json_shape():
     assert all(isinstance(v, int) for v in data["hilbert"])
     assert len(data["generators"]) == 2 * (6 - 2)
     assert all(isinstance(g, str) and g for g in data["generators"])
+
+
+def test_report_invariants_do_not_depend_on_dropped_edge(corpus):
+    polygons = list(GALLERY.values()) + [p for p in corpus if p.edge_count <= 6]
+    count = 0
+    for poly in polygons:
+        reports = [hull_report(poly, dropped_edge=j).to_json_dict()
+                   for j in range(poly.edge_count)]
+        for data in reports:
+            del data["generators"]
+        assert all(data == reports[0] for data in reports), poly
+        count += len(reports)
+    assert count == 102
+    # generators show the chosen presentation, so they do change with it
+    readme_pentagon = polygon_from_points([(0, 0), (1, 0), (2, 2), (0, 3), (-3, 2)])
+    assert (hull_report(readme_pentagon, dropped_edge=0).generators
+            != hull_report(readme_pentagon).generators)
 
 
 def test_report_requires_unit_edges():
