@@ -58,12 +58,9 @@ from .hulls import (  # noqa: F401
     cyclic_quotient_t1,
     hj_expansion,
     hull_report,
-    murphy_mismatch_witness,
     reduced_presentation,
     rigidity_oracle,
     verify_drop_edge_invariance,
-    verify_murphy_obstruction,
-    verify_newton_recurrence,
     verify_truncation,
 )
 from .fano import (  # noqa: F401
@@ -77,5 +74,4 @@ from .fano import (  # noqa: F401
     is_prism_over,
     is_reflexive,
     kmoduli_branch_bounds,
-    segre_minimal_prime_count,
 )

@@ -11,19 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .fano import build_P_F, family_branch_report, is_fano, is_reflexive, is_prism_over
-from .hulls import (
-    CyclicQuotient,
-    classify,
-    cyclic_quotient_t1,
-    hull_report,
-    verify_newton_recurrence,
-)
+from .hulls import CyclicQuotient, classify, cyclic_quotient_t1, hull_report
 from .lattice import EnumerationCapError, LatticePolygon, is_centrally_symmetric
 from .verification import run_checks
 
@@ -116,26 +108,6 @@ def _cmd_fano(args) -> int:
     return 0
 
 
-def _cmd_newton_check(args) -> int:
-    rng = random.Random(args.seed)
-    runs = []
-    for _ in range(args.count):
-        n = rng.randint(1, args.n)
-        coeffs = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(n)]
-        k = n + rng.randint(1, 3)
-        variables = [f"x{i + 1}" for i in range(n)]
-        runs.append({"n": n, "k": k,
-                     "coeffs": [str(c) for c in coeffs],
-                     "passed": verify_newton_recurrence(variables, coeffs, k)})
-    all_ok = all(r["passed"] for r in runs)
-    lines = [f"power-sum recurrence: {len(runs)} random instances "
-             f"(n <= {args.n}, seed {args.seed}): "
-             + ("all pass" if all_ok else "FAILURES")]
-    _emit(args, "newton-check", {"n": args.n, "seed": args.seed, "count": args.count},
-          {"instances": runs, "all_passed": all_ok}, lines)
-    return 0 if all_ok else 1
-
-
 def _cmd_cyclic_quotient(args) -> int:
     quotient = CyclicQuotient(args.n, args.q)
     dim = cyclic_quotient_t1(quotient)
@@ -197,13 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(fn=_cmd_fano)
 
-    p = sub.add_parser("newton-check", help="random checks of the power-sum recurrence")
-    p.add_argument("n", type=int, help="maximum number of variables")
-    p.add_argument("seed", type=int)
-    p.add_argument("--count", type=int, default=50)
-    add_json(p)
-    p.set_defaults(fn=_cmd_newton_check)
-
     p = sub.add_parser("cyclic-quotient",
                        help="deformation dimension of the (1/n)(1, q) surface singularity")
     p.add_argument("n", type=int)
@@ -226,9 +191,6 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "family" and args.r < 0:
         print("error: --r must be non-negative", file=sys.stderr)
-        return 2
-    if args.command == "newton-check" and (args.n < 1 or args.count < 1):
-        print("error: n and --count must be positive", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -5,10 +5,11 @@ The polytope spanned by the polygon at height 1 and its negative at height
 -1 is Fano (origin interior, primitive vertices); when the polygon is
 centrally symmetric it is a prism.  It is an affine image of the Cayley
 polytope of the polygon and its negative, so its vertices and facets are
-written down in closed form, with no hull search.  The number D of maximal
-Minkowski decompositions of the polygon bounds the local branch counts from
-below: D^2 for the moduli stack and floor(D^2 / |Aut|) for the moduli space,
-with |Aut| = 4 on the prism family.
+written down in closed form, with no hull search.  Its top and bottom facets
+are the polygon and its negative, with D maximal Minkowski decompositions
+each, so a pair of decompositions, one per facet, gives a local branch: D^2
+on the moduli stack and floor(D^2 / |Aut|) on the moduli space, with
+|Aut| = 4 on the prism family.
 """
 
 from __future__ import annotations
@@ -107,14 +108,6 @@ def is_prism_over(polytope: LatticePolytope3, polygon: LatticePolygon) -> bool:
     return set(polytope.vertices) == expected
 
 
-def segre_minimal_prime_count(a: int, b: int) -> int:
-    """Minimal primes of a Segre product of standard graded algebras:
-    the product of the factors' counts."""
-    if a < 1 or b < 1:
-        raise ValueError("minimal prime counts are positive")
-    return a * b
-
-
 @dataclass(frozen=True)
 class BranchBounds:
     """Lower bounds for local branch counts at the Fano 3-fold attached to a
@@ -135,17 +128,20 @@ class BranchBounds:
 
 def kmoduli_branch_bounds(polygon: LatticePolygon, aut_divisor: int = 4,
                           cap: int | None = None) -> BranchBounds:
-    """Branch-count lower bounds from the decomposition count.
+    """Branch-count lower bounds from the decomposition count D.
 
-    The default divisor 4 is the order of the polytope automorphism group
-    on the prism family; for other polygons the caller owns the choice.
+    The top and bottom facets of ``build_P_F(polygon)`` are the polygon and
+    its negative, each with D maximal decompositions, and every pair of them
+    gives a branch: D * D on the stack.  The default divisor 4 is the order
+    of the polytope automorphism group on the prism family; for other
+    polygons the caller owns the choice.
     """
     if aut_divisor < 1:
         raise ValueError("aut_divisor must be positive")
     if not is_unit_edge(polygon):
         raise NonUnitEdgeError("branch bounds need unit edges (isolated singularities)")
     d = decomposition_count(polygon, cap)
-    stack = segre_minimal_prime_count(d, d)
+    stack = d * d
     space = max(1, stack // aut_divisor)
     return BranchBounds(d, stack, space, aut_divisor)
 

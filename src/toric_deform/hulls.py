@@ -4,12 +4,12 @@ The graded algebra attached to a polygon with m edges lives in m-1 variables
 (one edge is dropped; the edge vectors sum to zero, so the choice changes the
 ideal only by a linear change of variables) and is cut out by the weighted
 power sums of the edge coordinates in degrees 1..m-2.  This module builds
-that presentation, verifies the algebra identities behind it, eliminates two
-variables through the linear generators by a block-order basis
-(``reduced_presentation``), classifies the small embedding-dimension hulls,
-and assembles the full report: Hilbert values, irreducible components indexed
-by maximal Minkowski decompositions, and the artinian/rigidity side facts for
-cyclic quotient surfaces.
+that presentation, checks that neither the truncation degree nor the dropped
+edge changes the ideal, eliminates two variables through the linear
+generators by a block-order basis (``reduced_presentation``), classifies the
+small embedding-dimension hulls, and assembles the full report: Hilbert
+values, irreducible components indexed by maximal Minkowski decompositions,
+and the artinian/rigidity side facts for cyclic quotient surfaces.
 """
 
 from __future__ import annotations
@@ -147,41 +147,11 @@ def reduced_presentation(pres: AltmannPresentation,
 # -- identity checks ----------------------------------------------------------
 
 
-def verify_newton_recurrence(variables: list[str], coeffs: list, k: int) -> bool:
-    """Check the weighted power-sum recurrence as an exact polynomial
-    identity: with s_r the signed elementary symmetric functions,
-    a_k + s_1 a_{k-1} + ... + s_n a_{k-n} vanishes for every k > n."""
-    n = len(variables)
-    if len(coeffs) != n:
-        raise ValueError("need one coefficient per variable")
-    if k <= n:
-        raise ValueError(f"recurrence needs k > n, got k={k}, n={n}")
-    ring = tuple(variables)
-    xs = [Polynomial.variable(ring, v) for v in ring]
-    weights = [Fraction(c) for c in coeffs]
-
-    def alpha(j: int) -> Polynomial:
-        out = Polynomial.zero(ring)
-        for w, x in zip(weights, xs):
-            out = out + w * x ** j
-        return out
-
-    # coefficients of prod (t - x_i): s[r] multiplies t^(n-r), s[0] = 1
-    s: list[Polynomial] = [Polynomial.constant(ring, 1)]
-    for x in xs:
-        nxt = [s[0]]
-        for r in range(1, len(s) + 1):
-            prev = s[r] if r < len(s) else Polynomial.zero(ring)
-            nxt.append(prev - x * s[r - 1])
-        s = nxt
-    acc = alpha(k)
-    for r in range(1, n + 1):
-        acc = acc + s[r] * alpha(k - r)
-    return acc.is_zero
-
-
 def verify_truncation(polygon: LatticePolygon, k_extra: int) -> bool:
-    """The power sums beyond degree m-2 already lie in the truncated ideal."""
+    """The power sums of degrees m-1 .. m-2+k_extra already lie in the
+    truncated ideal; ``k_extra`` must be at least 1."""
+    if k_extra < 1:
+        raise ValueError(f"k_extra must be at least 1, got {k_extra}")
     pres = build_altmann_ideal(polygon)
     gb = buchberger(pres.ideal)
     m = polygon.edge_count
@@ -352,26 +322,6 @@ def hull_report(polygon: LatticePolygon, d_max: int | None = None,
     generators = tuple(str(g) for g in pres.ideal.generators)
     return HullReport(polygon, d, hilbert, components, classify(polygon),
                       artinian, obstruction, generators)
-
-
-# -- obstruction-dimension incompatibility -------------------------------------
-
-
-def verify_murphy_obstruction(d: int) -> int:
-    """Degree-2 dimension forced on every hull of embedding dimension d >= 2:
-    (d^2 + d - 4) / 2."""
-    if d < 2:
-        raise ValueError("formula applies for embedding dimension >= 2")
-    return (d * d + d - 4) // 2
-
-
-def murphy_mismatch_witness(d: int) -> tuple[int, int, bool]:
-    """Compare the forced degree-2 dimension with that of the cube-relation
-    power series quotient; the two never agree, so that quotient is not a
-    hull.  Returns (forced, cube_quotient, mismatch)."""
-    forced = verify_murphy_obstruction(d)
-    cube_quotient = (d * d + d) // 2 - 1
-    return forced, cube_quotient, forced != cube_quotient
 
 
 # -- cyclic quotient surfaces ---------------------------------------------------

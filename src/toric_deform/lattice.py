@@ -95,9 +95,6 @@ class LatticePolygon:
     def edge_count(self) -> int:
         return len(self.vertices)
 
-    def translated(self, t: Vec2) -> "LatticePolygon":
-        return polygon_from_points([vec_add(v, t) for v in self.vertices])
-
     def to_json_dict(self) -> dict:
         return {"vertices": [[x, y] for x, y in self.vertices]}
 
@@ -107,16 +104,17 @@ class LatticePolygon:
         anything else raises ValueError."""
         if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
             raise ValueError("expected a JSON object with a 'vertices' list")
-        for p in data["vertices"]:
-            if not (isinstance(p, list) and len(p) == 2):
-                raise ValueError(f"vertex {p!r} is not an [x, y] pair")
         return polygon_from_points(data["vertices"])
 
 
 def _lattice_point(p: Sequence[int]) -> Vec2:
-    """``(x, y)`` from a point whose coordinates are ``int`` (not ``bool``);
-    anything else raises ValueError rather than being rounded."""
-    x, y = p[0], p[1]
+    """``(x, y)`` from a point with exactly two coordinates, both ``int``
+    (not ``bool``); anything else raises ValueError rather than being
+    truncated or rounded."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise ValueError(f"point {p!r} is not an (x, y) pair") from None
     if type(x) is not int or type(y) is not int:
         raise ValueError(f"point {p!r} does not have integer coordinates")
     return (x, y)
@@ -237,7 +235,11 @@ def _part_vertices(part: Sequence[Vec2]) -> tuple[Vec2, ...]:
 def _decomposition_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
-    return int(os.environ.get(CAP_ENV_VAR, DEFAULT_DECOMPOSITION_CAP))
+    try:
+        return int(os.environ.get(CAP_ENV_VAR, DEFAULT_DECOMPOSITION_CAP))
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, "
+                         f"got {os.environ[CAP_ENV_VAR]!r}") from None
 
 
 class _PartTable:

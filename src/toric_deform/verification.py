@@ -19,9 +19,9 @@ from .fano import (
     is_fano,
     is_prism_over,
     kmoduli_branch_bounds,
-    segre_minimal_prime_count,
 )
 from .gallery import (
+    GALLERY,
     HEXAGON_SKEW,
     HEXAGON_SYMMETRIC,
     PENTAGON_COPRIME_QUADRICS,
@@ -45,7 +45,6 @@ from .hulls import (
     hull_report,
     reduced_presentation,
     rigidity_oracle,
-    verify_murphy_obstruction,
 )
 from .lattice import (
     build_hexagon_family,
@@ -224,8 +223,16 @@ def _check_family_r1_report() -> bool:
     return report.embedding_dimension == 9 and len(report.components) >= 4
 
 
-def _check_murphy_values() -> bool:
-    return verify_murphy_obstruction(2) == 1 and verify_murphy_obstruction(3) == 4
+def _check_obstruction_dimensions() -> bool:
+    """H(2), computed, of every gallery pentagon (d = 2) and hexagon (d = 3)."""
+    forced = {2: 1, 3: 4}
+    found: dict[int, set[int]] = {}
+    for polygon in GALLERY.values():
+        d = polygon.edge_count - 3
+        if d in forced:
+            found.setdefault(d, set()).add(
+                hilbert_function(build_altmann_ideal(polygon).ideal, 2)[2])
+    return found == {d: {h} for d, h in forced.items()}
 
 
 def _check_hj_expansions() -> bool:
@@ -253,8 +260,16 @@ def _check_prism_and_fano() -> bool:
 
 
 def _check_segre_counts() -> bool:
-    return (segre_minimal_prime_count(2, 2) == 4
-            and segre_minimal_prime_count(4, 4) == 16)
+    """The stack bound is the product of the decomposition counts of the
+    top and bottom facets of P_F, read off the polytope."""
+    for polygon in (HEXAGON_SYMMETRIC, HEXAGON_SKEW, build_hexagon_family(1)):
+        vertices = build_P_F(polygon).vertices
+        top, bottom = (polygon_from_points([(x, y) for x, y, z in vertices if z == h])
+                       for h in (1, -1))
+        if (kmoduli_branch_bounds(polygon).stack_lower
+                != decomposition_count(top) * decomposition_count(bottom)):
+            return False
+    return True
 
 
 def _check_hexagon_bounds() -> bool:
@@ -312,7 +327,7 @@ PAPER_EXAMPLE_CHECKS: tuple[Check, ...] = (
     Check("family-r1-report", "the r=1 family member has embedding dimension 9 and "
           "at least 4 components", _check_family_r1_report),
     Check("obstruction-dimensions", "the forced degree-2 dimensions are 1 (d=2) "
-          "and 4 (d=3)", _check_murphy_values),
+          "and 4 (d=3)", _check_obstruction_dimensions),
     Check("hj-expansions", "3/2=[2,2], 5/2=[3,2], 5/3=[2,3]", _check_hj_expansions),
     Check("cyclic-quotient-dimensions", "first-order deformation dimensions: "
           "(3,2)->2, (5,3)->3, (5,2)->3", _check_cyclic_quotients),

@@ -9,6 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from toric_deform.fano import build_P_F, family_branch_report, is_fano, is_prism_over
 from toric_deform.gallery import (
@@ -26,10 +27,8 @@ from toric_deform.hulls import (
     cyclic_quotient_t1,
     hj_expansion,
     hull_report,
-    murphy_mismatch_witness,
     reduced_presentation,
     verify_drop_edge_invariance,
-    verify_newton_recurrence,
     verify_truncation,
 )
 from toric_deform.lattice import (
@@ -38,6 +37,7 @@ from toric_deform.lattice import (
     edge_vectors,
     is_unit_edge,
     iterate_matrix_mod2,
+    polygon_from_points,
 )
 from toric_deform.polynomials import Ideal, Polynomial, linear_substitute
 
@@ -46,6 +46,7 @@ import test_groebner
 import test_hulls
 import test_lattice
 import test_polynomials
+from test_polynomials import verify_newton_recurrence
 
 
 @contextmanager
@@ -170,11 +171,32 @@ def test_criterion_8_cyclic_quotients():
         assert hj_expansion(5, 3).entries == (2, 3)
 
 
-def test_criterion_9_obstruction_mismatch():
-    with criterion(9, "(d^2+d-4)/2 never equals (d^2+d)/2 - 1 for d = 2..6"):
+# a unit-edge 9-gon (d = 6), one beyond the corpus
+NONAGON = polygon_from_points([(-2, 1), (0, 0), (1, 0), (3, 1), (4, 3), (4, 4),
+                               (2, 5), (0, 4), (-1, 3)])
+
+
+def cube_quotient_h2(d):
+    """H(2) of one quadric plus the cube of the maximal ideal in d variables."""
+    ring = tuple(f"y{i}" for i in range(d))
+    ys = [Polynomial.variable(ring, v) for v in ring]
+    gens = [ys[0] ** 2] + [a * b * c for a, b, c in combinations_with_replacement(ys, 3)]
+    return hilbert_function(Ideal.from_generators(gens, ring), 2)[2]
+
+
+def test_criterion_9_obstruction_mismatch(corpus):
+    with criterion(9, "H(2) of a polygon, (d^2+d-4)/2, never equals H(2) of a "
+                      "quadric plus the cube quotient, (d^2+d)/2 - 1, for d = 2..6"):
+        polygons = {9: NONAGON}
+        for poly in corpus:
+            polygons.setdefault(poly.edge_count, poly)
+        assert NONAGON.edge_count == 9 and is_unit_edge(NONAGON)
         for d in range(2, 7):
-            forced, cube, mismatch = murphy_mismatch_witness(d)
-            assert mismatch and forced != cube
+            forced = hilbert_function(build_altmann_ideal(polygons[d + 3]).ideal, 2)[2]
+            cube = cube_quotient_h2(d)
+            assert forced == (d * d + d - 4) // 2
+            assert cube == (d * d + d) // 2 - 1
+            assert forced != cube
 
 
 def test_criterion_10_property_suites(corpus):
@@ -197,5 +219,5 @@ def test_criterion_10_property_suites(corpus):
         test_hulls.test_component_dimensions_and_artinian_flag(corpus)
         test_hulls.test_hj_expansion_roundtrip_up_to_50()
         test_fano.test_corpus_polytopes_are_fano_and_symmetric(corpus)
-        test_fano.test_segre_commutative_and_multiplicative()
+        test_fano.test_stack_bound_is_product_of_facet_counts(corpus)
         test_fano.test_bounds_monotone_along_family()

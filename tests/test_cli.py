@@ -88,13 +88,6 @@ def test_cyclic_quotient_domain_error(capsys):
     assert run(["cyclic-quotient", "4", "2"]) == 1
 
 
-def test_newton_check(capsys):
-    assert run(["newton-check", "5", "123", "--count", "10", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["result"]["all_passed"] is True
-    assert len(data["result"]["instances"]) == 10
-
-
 def test_verify_paper(capsys):
     assert run(["verify-paper"]) == 0
     out = capsys.readouterr().out
@@ -157,12 +150,21 @@ def test_cap_error_reports_count(monkeypatch, tmp_path, capsys):
     assert "6" in err and "cap" in err
 
 
+def test_invalid_cap_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("TORIC_DEFORM_CAP", "abc")
+    assert run(["family", "--r", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: TORIC_DEFORM_CAP")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["family"]) == 2
     assert run(["cyclic-quotient", "five", "3"]) == 2
-    assert run(["newton-check", "0", "7"]) == 2
+    assert run(["newton-check", "0", "7"]) == 2  # removed subcommand is a usage error
 
 
 def test_repeated_runs_do_not_share_state(pentagon_tangent, capsys):

@@ -11,7 +11,6 @@ from toric_deform.fano import (
     is_prism_over,
     is_reflexive,
     kmoduli_branch_bounds,
-    segre_minimal_prime_count,
 )
 from toric_deform.gallery import (
     GALLERY,
@@ -22,6 +21,7 @@ from toric_deform.gallery import (
 from toric_deform.hulls import NonUnitEdgeError
 from toric_deform.lattice import (
     build_hexagon_family,
+    decomposition_count,
     is_centrally_symmetric,
     is_unit_edge,
     polygon_from_points,
@@ -134,19 +134,19 @@ def test_prism_requires_central_symmetry():
     assert not is_prism_over(p, QUADRILATERAL_DUAL_NUMBERS)
 
 
-def test_segre_counts():
-    assert segre_minimal_prime_count(1, 1) == 1
-    assert segre_minimal_prime_count(2, 2) == 4
-    assert segre_minimal_prime_count(4, 4) == 16
-    with pytest.raises(ValueError):
-        segre_minimal_prime_count(0, 3)
+def facet_polygons(polytope):
+    """The top (z = 1) and bottom (z = -1) facets of P_F as plane polygons."""
+    return tuple(polygon_from_points([(x, y) for x, y, z in polytope.vertices if z == h])
+                 for h in (1, -1))
 
 
-def test_segre_commutative_and_multiplicative():
-    for a, b, c, d in [(1, 2, 3, 4), (2, 2, 2, 2), (3, 1, 5, 2)]:
-        assert segre_minimal_prime_count(a, b) == segre_minimal_prime_count(b, a)
-        assert (segre_minimal_prime_count(a, b) * segre_minimal_prime_count(c, d)
-                == segre_minimal_prime_count(a * c, b * d))
+def test_stack_bound_is_product_of_facet_counts(corpus):
+    polygons = list(GALLERY.values()) + corpus + [build_hexagon_family(r) for r in range(3)]
+    for polygon in polygons:
+        top, bottom = facet_polygons(build_P_F(polygon))
+        assert top == polygon
+        assert (kmoduli_branch_bounds(polygon).stack_lower
+                == decomposition_count(top) * decomposition_count(bottom))
 
 
 def test_hexagon_branch_bounds():

@@ -27,12 +27,9 @@ from toric_deform.hulls import (
     cyclic_quotient_t1,
     hj_expansion,
     hull_report,
-    murphy_mismatch_witness,
     reduced_presentation,
     rigidity_oracle,
     verify_drop_edge_invariance,
-    verify_murphy_obstruction,
-    verify_newton_recurrence,
     verify_truncation,
 )
 from toric_deform.lattice import (
@@ -46,6 +43,7 @@ from toric_deform.lattice import (
 from toric_deform.polynomials import Ideal, Polynomial
 
 from conftest import build_corpus
+from test_polynomials import verify_newton_recurrence
 from oracles import (
     hilbert_by_graded_ranks,
     hilbert_by_standard_monomials,
@@ -176,6 +174,12 @@ def test_truncation_examples():
     assert verify_truncation(SQUARE, 2)
     assert verify_truncation(HEXAGON_SKEW, 2)
     assert verify_truncation(PENTAGON_TANGENT_QUADRICS, 2)
+
+
+def test_truncation_needs_a_degree_to_check():
+    for k_extra in (0, -4):
+        with pytest.raises(ValueError):
+            verify_truncation(HEXAGON_SKEW, k_extra)
 
 
 def test_drop_edge_invariance_examples():
@@ -393,24 +397,6 @@ def test_report_requires_unit_edges():
     doubled = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
     with pytest.raises(NonUnitEdgeError):
         hull_report(doubled)
-
-
-# -- obstruction dimensions -------------------------------------------------------
-
-
-def test_murphy_obstruction_values():
-    assert verify_murphy_obstruction(2) == 1
-    assert verify_murphy_obstruction(3) == 4
-    with pytest.raises(ValueError):
-        verify_murphy_obstruction(1)
-
-
-def test_murphy_mismatch_for_small_dimensions():
-    for d in range(2, 7):
-        forced, cube, mismatch = murphy_mismatch_witness(d)
-        assert mismatch
-        assert forced == (d * d + d - 4) // 2
-        assert cube == (d * d + d) // 2 - 1
 
 
 # -- cyclic quotient surfaces ------------------------------------------------------

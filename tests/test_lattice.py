@@ -57,7 +57,9 @@ def test_hull_rejects_degenerate_input():
 
 
 def test_points_must_have_integer_coordinates():
-    for bad in ([(0.5, 0), (1, 0), (0, 1)], [(True, 0), (1, 0), (0, 1)]):
+    for bad in ([(0.5, 0), (1, 0), (0, 1)], [(True, 0), (1, 0), (0, 1)],
+                [(0, 0, 5), (1, 0, 7), (0, 1, 9)], [(0,), (1, 0), (0, 1)],
+                [None, (1, 0), (0, 1)], [5, (1, 0), (0, 1)]):
         with pytest.raises(ValueError):
             polygon_from_points(bad)
         with pytest.raises(ValueError):

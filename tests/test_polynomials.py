@@ -1,4 +1,5 @@
-"""Exact polynomial arithmetic, monomial orders, substitution, text form."""
+"""Exact polynomial arithmetic, monomial orders, substitution, text form, and
+the weighted power-sum recurrence as an identity the arithmetic must satisfy."""
 
 import random
 from fractions import Fraction
@@ -160,3 +161,39 @@ def test_ideal_homogeneous_flag_is_checked():
 def test_ideal_rejects_mixed_rings():
     with pytest.raises(RingMismatchError):
         Ideal((Polynomial.variable(("a",), "a"),), RING)
+
+
+# -- the weighted power-sum recurrence ---------------------------------------
+
+
+def verify_newton_recurrence(variables: list[str], coeffs: list, k: int) -> bool:
+    """Check the weighted power-sum recurrence as an exact polynomial
+    identity: with s_r the signed elementary symmetric functions,
+    a_k + s_1 a_{k-1} + ... + s_n a_{k-n} vanishes for every k > n."""
+    n = len(variables)
+    if len(coeffs) != n:
+        raise ValueError("need one coefficient per variable")
+    if k <= n:
+        raise ValueError(f"recurrence needs k > n, got k={k}, n={n}")
+    ring = tuple(variables)
+    xs = [Polynomial.variable(ring, v) for v in ring]
+    weights = [Fraction(c) for c in coeffs]
+
+    def alpha(j: int) -> Polynomial:
+        out = Polynomial.zero(ring)
+        for w, x in zip(weights, xs):
+            out = out + w * x ** j
+        return out
+
+    # coefficients of prod (t - x_i): s[r] multiplies t^(n-r), s[0] = 1
+    s: list[Polynomial] = [Polynomial.constant(ring, 1)]
+    for x in xs:
+        nxt = [s[0]]
+        for r in range(1, len(s) + 1):
+            prev = s[r] if r < len(s) else Polynomial.zero(ring)
+            nxt.append(prev - x * s[r - 1])
+        s = nxt
+    acc = alpha(k)
+    for r in range(1, n + 1):
+        acc = acc + s[r] * alpha(k - r)
+    return acc.is_zero
